@@ -10,8 +10,11 @@ check: build vet vet-stages fmt race
 build:
 	$(GO) build ./...
 
+# perfbench/ is its own module, so the root ./... never compiles it; vet
+# it too so an internal API change cannot break the benchmark unnoticed.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 # Repo-local vet pass: journal stage names must be the typed constants,
 # never string literals (tools/vet/journalstages).

@@ -16,11 +16,11 @@
 //
 //	clperf diff [-threshold pct] [-min-seconds s] H
 //	    Gate the newest record against the median of earlier runs from
-//	    the same component AND the same machine stamp. A stage regresses
-//	    only when it exceeds the baseline by both the relative threshold
-//	    (default 75%) and the absolute floor (default 0.1s) — so short
-//	    noisy stages don't flap the gate. Exits 1 on regression, 0 when
-//	    clean or when no comparable baseline exists yet.
+//	    the same component AND the same machine stamp (internal/gate). A
+//	    stage regresses only when it exceeds the baseline by both the
+//	    relative threshold (default 75%) and the absolute floor (default
+//	    0.1s) — so short noisy stages don't flap the gate. Exits 1 on
+//	    regression, 0 when clean or when no comparable baseline exists yet.
 package main
 
 import (
@@ -29,12 +29,23 @@ import (
 	"fmt"
 	"os"
 
+	"clgen/internal/gate"
 	"clgen/internal/perf"
 	"clgen/internal/telemetry"
 )
 
 // defaultHistory is where bench-snapshot and CI keep the run history.
 const defaultHistory = "PERF_HISTORY.jsonl"
+
+// Diff defaults: a stage regresses only when it is BOTH defaultThresholdPct
+// slower than the baseline median AND at least defaultMinSeconds slower in
+// absolute terms. The generous defaults keep short noisy stages (a few
+// ms of scheduler jitter is easily 2x) from tripping the gate; tighten
+// them per-invocation for long deterministic benchmarks.
+const (
+	defaultThresholdPct = 75
+	defaultMinSeconds   = 0.1
+)
 
 func main() {
 	if len(os.Args) < 2 {
@@ -95,12 +106,12 @@ func record(args []string) error {
 	if *component != "" {
 		rep.Component = *component
 	}
-	rec := perf.BuildRecord(&rep, perf.GitRev())
-	if err := perf.Append(*historyPath, rec); err != nil {
+	rec := perf.BuildRecord(&rep, gate.GitRev())
+	if err := gate.Append(*historyPath, rec); err != nil {
 		return err
 	}
 	fmt.Printf("recorded %s: %d stage(s), %.3fs total -> %s\n",
-		rec.Component, len(rec.Stages), rec.Seconds, *historyPath)
+		rec.Component, len(rec.Metrics)-1, rep.Seconds, *historyPath)
 	return nil
 }
 
@@ -113,19 +124,19 @@ func history(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("history needs exactly one history path")
 	}
-	recs, err := perf.ReadHistory(fs.Arg(0))
+	recs, err := gate.ReadHistory(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	perf.RenderHistory(os.Stdout, recs, *stage)
+	gate.RenderHistory(os.Stdout, recs, *stage)
 	return nil
 }
 
 func diff(args []string) (bool, error) {
 	fs := flag.NewFlagSet("diff", flag.ExitOnError)
-	threshold := fs.Float64("threshold", perf.DefaultThresholdPct,
+	threshold := fs.Float64("threshold", defaultThresholdPct,
 		"relative regression threshold in percent")
-	minSeconds := fs.Float64("min-seconds", perf.DefaultMinSeconds,
+	minSeconds := fs.Float64("min-seconds", defaultMinSeconds,
 		"absolute regression floor in seconds (both must be exceeded)")
 	if err := fs.Parse(args); err != nil {
 		return false, err
@@ -133,14 +144,22 @@ func diff(args []string) (bool, error) {
 	if fs.NArg() != 1 {
 		return false, fmt.Errorf("diff needs exactly one history path")
 	}
-	recs, err := perf.ReadHistory(fs.Arg(0))
+	if *threshold <= 0 {
+		*threshold = defaultThresholdPct
+	}
+	if *minSeconds < 0 {
+		*minSeconds = defaultMinSeconds
+	}
+	recs, err := gate.ReadHistory(fs.Arg(0))
 	if err != nil {
 		return false, err
 	}
-	rep, err := perf.Diff(recs, *threshold, *minSeconds)
+	rep, err := gate.Diff(recs, gate.Tolerance{Pct: *threshold, Floor: *minSeconds})
 	if err != nil {
 		return false, err
 	}
+	rep.Title = fmt.Sprintf("perf diff: %s vs median of %d baseline run(s)  (threshold +%g%% and +%gs)",
+		rep.Component, rep.BaselineRuns, *threshold, *minSeconds)
 	rep.Render(os.Stdout)
-	return rep.Regressions > 0, nil
+	return !rep.OK(), nil
 }

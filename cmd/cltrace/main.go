@@ -18,11 +18,12 @@
 //	    ID — or parent ID, for derived artifacts — starts with the prefix).
 //
 //	cltrace diff [-threshold pct] old.jsonl new.jsonl
-//	    Compare two runs: artifact counts, acceptance rates, modeled
-//	    runtimes, and (when journaled) the feature-agreement rate gate at
-//	    the threshold (default 5%); wall-clock stage latencies are
-//	    reported but never gated. Exits 1 on regression — identical-seed
-//	    runs always pass, so this is the CI gate.
+//	    Compare two runs, the old one the baseline (internal/gate):
+//	    artifact counts, acceptance rates, modeled runtimes, and (when
+//	    journaled) the feature-agreement rate gate at the threshold
+//	    (default 5%); wall-clock stage latencies are reported but never
+//	    gated. Exits 1 on regression — identical-seed runs always pass,
+//	    so this is the CI gate.
 //
 //	cltrace model report [-json] run.jsonl
 //	    Learning-loop view of the journal: training curves (per-epoch
@@ -34,9 +35,9 @@
 //
 //	cltrace model diff [-accuracy-pp pp] [-speedup-pct pct] h.jsonl
 //	    Gate the newest history record against the median of comparable
-//	    (same-machine) predecessors. Exits 1 when any evaluation's
-//	    accuracy drops more than -accuracy-pp percentage points or its
-//	    geomean speedup more than -speedup-pct percent.
+//	    (same-machine) predecessors (internal/gate). Exits 1 when any
+//	    evaluation's accuracy drops more than -accuracy-pp percentage
+//	    points or its geomean speedup more than -speedup-pct percent.
 //
 //	cltrace model history h.jsonl
 //	    Per-record accuracy/speedup trajectory.
@@ -48,9 +49,18 @@ import (
 	"fmt"
 	"os"
 
+	"clgen/internal/gate"
 	"clgen/internal/journal"
 	"clgen/internal/mlobs"
-	"clgen/internal/perf"
+)
+
+// Model diff defaults. The evaluations are deterministic for a fixed
+// seed, so identical-seed reruns always gate clean; the thresholds exist
+// to absorb intentional small shifts (corpus-composition changes) while
+// catching real model regressions.
+const (
+	defaultAccuracyPP = 2.0 // accuracy drop, in percentage points
+	defaultSpeedupPct = 5.0 // relative geomean-speedup drop, in percent
 )
 
 func main() {
@@ -163,22 +173,22 @@ func modelRecord(args []string) error {
 	if err != nil {
 		return err
 	}
-	rec := mlobs.BuildRecord(events, perf.GitRev())
-	if len(rec.Evals) == 0 {
+	rec := mlobs.BuildRecord(events, gate.GitRev())
+	if len(rec.Metrics) == 0 {
 		return fmt.Errorf("journal %s has no predicted events to record", fs.Arg(0))
 	}
-	if err := mlobs.Append(*history, rec); err != nil {
+	if err := gate.Append(*history, rec); err != nil {
 		return err
 	}
-	fmt.Printf("recorded %d evaluation(s) to %s\n", len(rec.Evals), *history)
+	fmt.Printf("recorded %d metric(s) to %s\n", len(rec.Metrics), *history)
 	return nil
 }
 
 func modelDiff(args []string) (bool, error) {
 	fs := flag.NewFlagSet("model diff", flag.ExitOnError)
-	accPP := fs.Float64("accuracy-pp", mlobs.DefaultAccuracyPP,
+	accPP := fs.Float64("accuracy-pp", defaultAccuracyPP,
 		"accuracy drop, in percentage points, that fails the gate")
-	spdPct := fs.Float64("speedup-pct", mlobs.DefaultSpeedupPct,
+	spdPct := fs.Float64("speedup-pct", defaultSpeedupPct,
 		"relative geomean-speedup drop, in percent, that fails the gate")
 	if err := fs.Parse(args); err != nil {
 		return false, err
@@ -186,14 +196,22 @@ func modelDiff(args []string) (bool, error) {
 	if fs.NArg() != 1 {
 		return false, fmt.Errorf("model diff needs exactly one history path")
 	}
-	history, err := mlobs.ReadHistory(fs.Arg(0))
+	if *accPP <= 0 {
+		*accPP = defaultAccuracyPP
+	}
+	if *spdPct <= 0 {
+		*spdPct = defaultSpeedupPct
+	}
+	history, err := gate.ReadHistory(fs.Arg(0))
 	if err != nil {
 		return false, err
 	}
-	rep, err := mlobs.Diff(history, *accPP, *spdPct)
+	rep, err := gate.Diff(history, gate.Tolerance{Pct: *spdPct, Points: *accPP})
 	if err != nil {
 		return false, err
 	}
+	rep.Title = fmt.Sprintf("model diff vs median of %d baseline run(s)  (thresholds: accuracy -%.1fpp, speedup -%.1f%%)",
+		rep.BaselineRuns, *accPP, *spdPct)
 	rep.Render(os.Stdout)
 	return !rep.OK(), nil
 }
@@ -206,11 +224,11 @@ func modelHistory(args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("model history needs exactly one history path")
 	}
-	history, err := mlobs.ReadHistory(fs.Arg(0))
+	history, err := gate.ReadHistory(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	mlobs.RenderHistory(os.Stdout, history)
+	gate.RenderHistory(os.Stdout, history, "")
 	return nil
 }
 
@@ -279,6 +297,6 @@ func diff(args []string) (bool, error) {
 		return false, err
 	}
 	d := journal.Diff(before, after, *threshold)
-	fmt.Print(d.Render())
+	d.Render(os.Stdout)
 	return !d.OK(), nil
 }

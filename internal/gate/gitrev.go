@@ -1,4 +1,4 @@
-package perf
+package gate
 
 import (
 	"os/exec"

@@ -23,7 +23,6 @@ type Profile struct {
 	Branches     int64
 	Barriers     int64
 	Atomics      int64
-	Steps        int64
 }
 
 // Add accumulates o into p.
@@ -39,7 +38,6 @@ func (p *Profile) Add(o *Profile) {
 	p.Branches += o.Branches
 	p.Barriers += o.Barriers
 	p.Atomics += o.Atomics
-	p.Steps += o.Steps
 }
 
 // Scale multiplies every counter by f. Used to extrapolate a profile
@@ -58,7 +56,6 @@ func (p *Profile) Scale(f float64) {
 	p.Branches = int64(float64(p.Branches) * f)
 	p.Barriers = int64(float64(p.Barriers) * f)
 	p.Atomics = int64(float64(p.Atomics) * f)
-	p.Steps = int64(float64(p.Steps) * f)
 }
 
 // GlobalMemOps returns total global memory operations.

@@ -2,8 +2,8 @@ package journal
 
 import (
 	"fmt"
-	"math"
-	"strings"
+
+	"clgen/internal/gate"
 )
 
 // DefaultThresholdPct is the regression threshold cltrace diff applies
@@ -12,79 +12,31 @@ import (
 // in the bad direction, fail the gate.
 const DefaultThresholdPct = 5
 
-// DiffRow compares one funnel metric between two runs.
-type DiffRow struct {
-	Name string
-	Old  float64
-	New  float64
-	// Kind selects formatting and regression semantics: "count" and
-	// "time" gate on relative change, "rate" on percentage-point change,
-	// "latency" is informational only (wall time varies run to run).
-	Kind string
-	// BadDir is +1 when an increase is a regression (runtimes, failures),
-	// -1 when a decrease is (counts, acceptance rates), 0 when ungated.
-	BadDir int
-	// Regressed marks rows that tripped the threshold.
-	Regressed bool
-}
-
-// Delta returns the signed change in the row's natural unit: percentage
-// points for rates, percent-of-old otherwise (±Inf when old is zero and
-// new is not).
-func (r DiffRow) Delta() float64 {
-	if r.Kind == "rate" {
-		return r.New - r.Old
-	}
-	if r.Old == 0 {
-		if r.New == 0 {
-			return 0
-		}
-		return math.Inf(sign(r.New))
-	}
-	return (r.New - r.Old) / r.Old * 100
-}
-
-func sign(v float64) int {
-	if v < 0 {
-		return -1
-	}
-	return 1
-}
-
-// DiffReport is the result of comparing two journals.
-type DiffReport struct {
-	ThresholdPct float64
-	Rows         []DiffRow
-	Regressions  []string
-}
-
-// OK reports whether the new run passed the gate.
-func (d *DiffReport) OK() bool { return len(d.Regressions) == 0 }
-
 // Diff compares two runs' funnels: artifact counts, acceptance rates, and
 // modeled runtimes (all deterministic for a fixed seed — identical-seed
 // runs always diff clean), plus informational stage-latency rows that are
-// never gated (wall time varies run to run). thresholdPct <= 0 means
-// DefaultThresholdPct.
-func Diff(before, after []Event, thresholdPct float64) *DiffReport {
+// never gated (wall time varies run to run). The older run is the
+// one-record baseline the newer is gated against; metrics zero in both
+// runs are left out. thresholdPct <= 0 means DefaultThresholdPct.
+func Diff(before, after []Event, thresholdPct float64) *gate.Report {
 	if thresholdPct <= 0 {
 		thresholdPct = DefaultThresholdPct
 	}
 	fo, fn := Funnel(before), Funnel(after)
-	d := &DiffReport{ThresholdPct: thresholdPct}
-
-	row := func(name, kind string, badDir int, o, n float64) {
+	var old, cur gate.Record
+	row := func(name, unit string, bad gate.Dir, o, n float64) {
 		if o == 0 && n == 0 {
 			return
 		}
-		d.Rows = append(d.Rows, DiffRow{Name: name, Old: o, New: n, Kind: kind, BadDir: badDir})
+		old.Metrics = append(old.Metrics, gate.Metric{Name: name, Value: o, Bad: bad, Unit: unit})
+		cur.Metrics = append(cur.Metrics, gate.Metric{Name: name, Value: n, Bad: bad, Unit: unit})
 	}
-	count := func(name string, o, n int) { row(name, "count", -1, float64(o), float64(n)) }
-	rate := func(name string, o, n float64) { row(name, "rate", -1, o*100, n*100) }
+	count := func(name string, o, n int) { row(name, "", gate.Down, float64(o), float64(n)) }
+	rate := func(name string, o, n float64) { row(name, "%", gate.Down, o*100, n*100) }
 
 	count("corpus mined", fo.Mined, fn.Mined)
 	count("corpus accepted", fo.CorpusAccepted, fn.CorpusAccepted)
-	rate("corpus acceptance", 1-fo.CorpusDiscardRate(), 1-fn.CorpusDiscardRate())
+	rate("corpus acceptance", fo.CorpusAcceptRate(), fn.CorpusAcceptRate())
 	count("rewritten units", fo.RewrittenUnits, fn.RewrittenUnits)
 	count("rewritten kernels", fo.RewrittenKernels, fn.RewrittenKernels)
 	count("trained epochs", fo.TrainedEpochs, fn.TrainedEpochs)
@@ -92,14 +44,14 @@ func Diff(before, after []Event, thresholdPct float64) *DiffReport {
 	count("samples accepted", fo.SampleAccepted, fn.SampleAccepted)
 	rate("sample acceptance", fo.SampleAcceptRate(), fn.SampleAcceptRate())
 	count("static analyzed", fo.StaticChecked, fn.StaticChecked)
-	row("static rejected", "count", +1, float64(fo.StaticRejected), float64(fn.StaticRejected))
+	row("static rejected", "", gate.Up, float64(fo.StaticRejected), float64(fn.StaticRejected))
 	count("feature kernels", fo.FeatureKernels, fn.FeatureKernels)
 	rate("feature agreement", fo.FeatureAgreementRate(), fn.FeatureAgreementRate())
 	count("driver loads", fo.Loads, fn.Loads)
-	row("driver load failures", "count", +1, float64(fo.LoadFailures), float64(fn.LoadFailures))
+	row("driver load failures", "", gate.Up, float64(fo.LoadFailures), float64(fn.LoadFailures))
 	count("footprint kernels", fo.FootprintKernels, fn.FootprintKernels)
 	count("footprint rescued", fo.FootprintRescued, fn.FootprintRescued)
-	row("footprint overrun args", "count", +1, float64(fo.FootprintOverrun), float64(fn.FootprintOverrun))
+	row("footprint overrun args", "", gate.Up, float64(fo.FootprintOverrun), float64(fn.FootprintOverrun))
 	count("checker checks", fo.Checks, fn.Checks)
 	count("checker useful work", fo.Verdicts["useful work"], fn.Verdicts["useful work"])
 	rate("checker useful rate", fo.UsefulRate(), fn.UsefulRate())
@@ -114,8 +66,8 @@ func Diff(before, after []Event, thresholdPct float64) *DiffReport {
 		if n == nil {
 			n = &SystemStats{}
 		}
-		row("runtime "+sys+" cpu mean", "time", +1, o.MeanCPU(), n.MeanCPU())
-		row("runtime "+sys+" gpu mean", "time", +1, o.MeanGPU(), n.MeanGPU())
+		row("runtime "+sys+" cpu mean", "ms", gate.Up, o.MeanCPU(), n.MeanCPU())
+		row("runtime "+sys+" gpu mean", "ms", gate.Up, o.MeanGPU(), n.MeanGPU())
 	}
 	for _, suite := range union(fo.Suites, fn.Suites) {
 		o, n := fo.Suites[suite], fn.Suites[suite]
@@ -125,7 +77,7 @@ func Diff(before, after []Event, thresholdPct float64) *DiffReport {
 		if n == nil {
 			n = &SuiteStats{}
 		}
-		row("suite "+suite+" best mean", "time", +1, o.MeanBest(), n.MeanBest())
+		row("suite "+suite+" best mean", "ms", gate.Up, o.MeanBest(), n.MeanBest())
 	}
 	for _, stage := range StageOrder {
 		o, oko := fo.Latencies[stage]
@@ -133,26 +85,12 @@ func Diff(before, after []Event, thresholdPct float64) *DiffReport {
 		if !oko && !okn {
 			continue
 		}
-		row("latency "+string(stage)+" p50", "latency", 0, o.P50, n.P50)
+		row("latency "+string(stage)+" p50", "ms", gate.Ungated, o.P50, n.P50)
 	}
 
-	for i := range d.Rows {
-		r := &d.Rows[i]
-		if r.BadDir == 0 {
-			continue
-		}
-		delta := r.Delta()
-		if float64(r.BadDir)*delta > thresholdPct {
-			r.Regressed = true
-			unit := "%"
-			if r.Kind == "rate" {
-				unit = "pp"
-			}
-			d.Regressions = append(d.Regressions, fmt.Sprintf("%s: %s -> %s (%+.1f%s)",
-				r.Name, formatVal(*r, r.Old), formatVal(*r, r.New), delta, unit))
-		}
-	}
-	return d
+	rep := gate.Compare([]gate.Record{old}, cur, gate.Tolerance{Pct: thresholdPct, Points: thresholdPct})
+	rep.Title = fmt.Sprintf("journal diff (threshold %.1f%%)", thresholdPct)
+	return rep
 }
 
 func union[V any](a, b map[string]V) []string {
@@ -164,48 +102,4 @@ func union[V any](a, b map[string]V) []string {
 		seen[k] = true
 	}
 	return sortedKeys(seen)
-}
-
-func formatVal(r DiffRow, v float64) string {
-	switch r.Kind {
-	case "rate":
-		return fmt.Sprintf("%.1f%%", v)
-	case "time", "latency":
-		return fmt.Sprintf("%.3fms", v)
-	default:
-		return fmt.Sprintf("%.0f", v)
-	}
-}
-
-// Render formats the comparison table; regressed rows are marked with '!'.
-func (d *DiffReport) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "journal diff (threshold %.1f%%)\n", d.ThresholdPct)
-	fmt.Fprintf(&b, "%-28s %12s %12s %10s\n", "metric", "old", "new", "delta")
-	for _, r := range d.Rows {
-		mark := " "
-		if r.Regressed {
-			mark = "!"
-		}
-		delta := r.Delta()
-		unit := "%"
-		if r.Kind == "rate" {
-			unit = "pp"
-		}
-		ds := fmt.Sprintf("%+.1f%s", delta, unit)
-		if delta == 0 {
-			ds = "="
-		}
-		fmt.Fprintf(&b, "%s %-26s %12s %12s %10s\n",
-			mark, r.Name, formatVal(r, r.Old), formatVal(r, r.New), ds)
-	}
-	if d.OK() {
-		b.WriteString("no regressions\n")
-	} else {
-		fmt.Fprintf(&b, "%d regression(s):\n", len(d.Regressions))
-		for _, r := range d.Regressions {
-			fmt.Fprintf(&b, "  ! %s\n", r)
-		}
-	}
-	return b.String()
 }

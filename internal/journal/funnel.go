@@ -121,13 +121,21 @@ type FunnelReport struct {
 	Latencies map[Stage]LatencyStats
 }
 
+// CorpusAcceptRate returns accepted/mined (0 when nothing was mined).
+func (r *FunnelReport) CorpusAcceptRate() float64 {
+	if r.Mined == 0 {
+		return 0
+	}
+	return float64(r.CorpusAccepted) / float64(r.Mined)
+}
+
 // CorpusDiscardRate returns the fraction of mined files the filter
 // discarded (the paper's §4.1 headline number).
 func (r *FunnelReport) CorpusDiscardRate() float64 {
 	if r.Mined == 0 {
 		return 0
 	}
-	return 1 - float64(r.CorpusAccepted)/float64(r.Mined)
+	return 1 - r.CorpusAcceptRate()
 }
 
 // SampleAcceptRate returns accepted/sampled (§4.3).

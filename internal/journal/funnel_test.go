@@ -252,7 +252,7 @@ func TestFunnelFeatureJSON(t *testing.T) {
 // away from the heuristic trips "feature agreement".
 func TestDiffFeatureGate(t *testing.T) {
 	if d := Diff(featureFixtureEvents(), featureFixtureEvents(), 0); !d.OK() {
-		t.Fatalf("identical feature runs regressed: %v", d.Regressions)
+		t.Fatalf("identical feature runs regressed: %v", d.Regressions())
 	}
 	var perturbed []Event
 	for _, e := range featureFixtureEvents() {
@@ -272,7 +272,7 @@ func TestDiffFeatureGate(t *testing.T) {
 		}
 	}
 	if !regressed["feature agreement"] {
-		t.Errorf("expected 'feature agreement' to regress; regressions: %v", d.Regressions)
+		t.Errorf("expected 'feature agreement' to regress; regressions: %v", d.Regressions())
 	}
 }
 
@@ -282,7 +282,7 @@ func TestDiffFeatureGate(t *testing.T) {
 // (BadDir +1: over-rejection discards kernels the checker accepts).
 func TestDiffStaticGate(t *testing.T) {
 	if d := Diff(staticFixtureEvents(), staticFixtureEvents(), 0); !d.OK() {
-		t.Fatalf("identical static runs regressed: %v", d.Regressions)
+		t.Fatalf("identical static runs regressed: %v", d.Regressions())
 	}
 	var perturbed []Event
 	for _, e := range staticFixtureEvents() {
@@ -305,7 +305,7 @@ func TestDiffStaticGate(t *testing.T) {
 		}
 	}
 	if !regressed["static rejected"] {
-		t.Errorf("expected 'static rejected' to regress; regressions: %v", d.Regressions)
+		t.Errorf("expected 'static rejected' to regress; regressions: %v", d.Regressions())
 	}
 }
 
@@ -322,7 +322,7 @@ func TestDiffIdenticalRunsClean(t *testing.T) {
 	}
 	d := Diff(events, reordered, 0)
 	if !d.OK() {
-		t.Fatalf("identical runs regressed: %v", d.Regressions)
+		t.Fatalf("identical runs regressed: %v", d.Regressions())
 	}
 }
 
@@ -346,7 +346,26 @@ func perturbedEvents() []Event {
 }
 
 func TestDiffGolden(t *testing.T) {
-	checkGolden(t, "diff.golden", Diff(fixtureEvents(), perturbedEvents(), 0).Render())
+	var b strings.Builder
+	Diff(fixtureEvents(), perturbedEvents(), 0).Render(&b)
+	checkGolden(t, "diff.golden", b.String())
+}
+
+// TestDiffNoMiningNoCorpusAcceptance checks a run that mines nothing (a
+// cldrive journal) has no corpus acceptance to report, rather than a
+// phantom 100%.
+func TestDiffNoMiningNoCorpusAcceptance(t *testing.T) {
+	var drive []Event
+	for _, e := range fixtureEvents() {
+		if e.Stage != StageMined && e.Stage != StageCorpusFilter {
+			drive = append(drive, e)
+		}
+	}
+	for _, r := range Diff(drive, drive, 0).Rows {
+		if strings.HasPrefix(r.Name, "corpus") {
+			t.Errorf("mining-free journals diffed a %q row: %+v", r.Name, r)
+		}
+	}
 }
 
 func TestDiffCatchesRegressions(t *testing.T) {
@@ -363,12 +382,12 @@ func TestDiffCatchesRegressions(t *testing.T) {
 	}
 	for name := range wantRegressed {
 		if !got[name] {
-			t.Errorf("expected %q to regress; regressions: %v", name, d.Regressions)
+			t.Errorf("expected %q to regress; regressions: %v", name, d.Regressions())
 		}
 	}
 	// A huge threshold lets everything through.
 	if d := Diff(fixtureEvents(), perturbedEvents(), 1000); !d.OK() {
-		t.Errorf("threshold 1000%% still regressed: %v", d.Regressions)
+		t.Errorf("threshold 1000%% still regressed: %v", d.Regressions())
 	}
 }
 

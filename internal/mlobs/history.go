@@ -1,275 +1,31 @@
 package mlobs
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
-	"sort"
-	"strings"
 	"time"
 
+	"clgen/internal/gate"
 	"clgen/internal/journal"
 	"clgen/internal/telemetry"
 )
 
-// Diff defaults. The evaluations are deterministic for a fixed seed, so
-// identical-seed reruns always gate clean; the thresholds exist to absorb
-// intentional small shifts (corpus-composition changes from upstream PRs)
-// while catching real model regressions.
-const (
-	// DefaultAccuracyPP is the accuracy drop, in percentage points, that
-	// fails the gate.
-	DefaultAccuracyPP = 2.0
-	// DefaultSpeedupPct is the relative geomean-speedup drop, in percent,
-	// that fails the gate.
-	DefaultSpeedupPct = 5.0
-)
+// component stamps mlobs records in a gate history.
+const component = "model"
 
-// Record is one run's evaluation profile: a machine stamp plus the
-// per-evaluation summaries. `cltrace model record` appends these to a
-// JSONL history; `cltrace model diff` compares the newest record against
-// the median of comparable (same machine) predecessors.
-type Record struct {
-	Time   time.Time         `json:"t"`
-	GitRev string            `json:"git_rev,omitempty"`
-	Env    telemetry.EnvInfo `json:"env"`
-	Evals  []EvalSummary     `json:"evals"`
-}
-
-// BuildRecord summarizes a journal's predicted events into a history
-// record stamped with the current machine.
-func BuildRecord(events []journal.Event, gitRev string) Record {
-	return Record{
-		Time:   time.Now(),
-		GitRev: gitRev,
-		Env:    telemetry.Env(),
-		Evals:  Report(events).Evals,
+// BuildRecord summarizes a journal's predicted events into a gate record
+// stamped with the current machine: per evaluation, its accuracy in
+// percent (gated in percentage points) and its geomean speedup over the
+// static baseline (gated in percent), both regressing downward.
+func BuildRecord(events []journal.Event, gitRev string) gate.Record {
+	rec := gate.Record{
+		Time:      time.Now(),
+		Component: component,
+		GitRev:    gitRev,
+		Env:       telemetry.Env(),
 	}
-}
-
-// Append appends rec as one JSON line to the history at path, creating it
-// if needed.
-func Append(path string, rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("mlobs: marshal record: %w", err)
+	for _, s := range Report(events).Evals {
+		rec.Metrics = append(rec.Metrics,
+			gate.Metric{Name: s.Key() + " accuracy", Value: s.Accuracy * 100, Bad: gate.Down, Unit: "%"},
+			gate.Metric{Name: s.Key() + " speedup", Value: s.GeomeanSpeedup, Bad: gate.Down, Unit: "x"})
 	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("mlobs: open history: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("mlobs: append history: %w", err)
-	}
-	return nil
-}
-
-// ReadHistory loads all records from the JSONL history at path, oldest
-// first. Blank lines are skipped; a malformed line is an error (the
-// history is machine-written).
-func ReadHistory(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("mlobs: open history: %w", err)
-	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("mlobs: history %s line %d: %w", path, lineNo, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("mlobs: read history: %w", err)
-	}
-	return out, nil
-}
-
-// EvalDiff compares one evaluation between the newest record and its
-// baseline medians.
-type EvalDiff struct {
-	Key          string  `json:"key"`
-	BaseAccuracy float64 `json:"base_accuracy"`
-	NewAccuracy  float64 `json:"new_accuracy"`
-	// AccuracyDeltaPP is the accuracy change in percentage points.
-	AccuracyDeltaPP float64 `json:"accuracy_delta_pp"`
-	BaseSpeedup     float64 `json:"base_speedup,omitempty"`
-	NewSpeedup      float64 `json:"new_speedup,omitempty"`
-	SpeedupDeltaPct float64 `json:"speedup_delta_pct,omitempty"`
-	BaselineRuns    int     `json:"baseline_runs"`
-	Regressed       bool    `json:"regressed"`
-	Why             string  `json:"why,omitempty"`
-}
-
-// DiffReport is the outcome of gating the newest history record against
-// comparable predecessors.
-type DiffReport struct {
-	AccuracyPP   float64    `json:"accuracy_pp"`
-	SpeedupPct   float64    `json:"speedup_pct"`
-	BaselineRuns int        `json:"baseline_runs"`
-	NoBaseline   bool       `json:"no_baseline"`
-	Evals        []EvalDiff `json:"evals,omitempty"`
-	Regressions  int        `json:"regressions"`
-}
-
-// OK reports whether the newest record passed the gate.
-func (r *DiffReport) OK() bool { return r.Regressions == 0 }
-
-// Diff gates the newest record in history against the median of earlier
-// records with the same machine stamp. An evaluation regresses when its
-// accuracy drops by more than accuracyPP percentage points, or its
-// geomean speedup drops by more than speedupPct percent, against the
-// baseline median. Thresholds <= 0 select the defaults.
-func Diff(history []Record, accuracyPP, speedupPct float64) (*DiffReport, error) {
-	if accuracyPP <= 0 {
-		accuracyPP = DefaultAccuracyPP
-	}
-	if speedupPct <= 0 {
-		speedupPct = DefaultSpeedupPct
-	}
-	if len(history) == 0 {
-		return nil, fmt.Errorf("mlobs: history is empty")
-	}
-	newest := history[len(history)-1]
-	rep := &DiffReport{AccuracyPP: accuracyPP, SpeedupPct: speedupPct}
-	var base []Record
-	for _, r := range history[:len(history)-1] {
-		if r.Env == newest.Env {
-			base = append(base, r)
-		}
-	}
-	rep.BaselineRuns = len(base)
-	if len(base) == 0 {
-		rep.NoBaseline = true
-		return rep, nil
-	}
-
-	for i := range newest.Evals {
-		s := &newest.Evals[i]
-		var accs, sps []float64
-		for _, r := range base {
-			for j := range r.Evals {
-				if b := &r.Evals[j]; b.Key() == s.Key() {
-					accs = append(accs, b.Accuracy)
-					if b.GeomeanSpeedup > 0 {
-						sps = append(sps, b.GeomeanSpeedup)
-					}
-				}
-			}
-		}
-		if len(accs) == 0 {
-			continue // evaluation is new in this run: nothing to regress against
-		}
-		d := EvalDiff{
-			Key:          s.Key(),
-			BaseAccuracy: median(accs),
-			NewAccuracy:  s.Accuracy,
-			BaselineRuns: len(accs),
-		}
-		d.AccuracyDeltaPP = (d.NewAccuracy - d.BaseAccuracy) * 100
-		if len(sps) > 0 {
-			d.BaseSpeedup = median(sps)
-			d.NewSpeedup = s.GeomeanSpeedup
-			if d.BaseSpeedup > 0 {
-				d.SpeedupDeltaPct = (d.NewSpeedup - d.BaseSpeedup) / d.BaseSpeedup * 100
-			}
-		}
-		switch {
-		case -d.AccuracyDeltaPP > accuracyPP:
-			d.Regressed = true
-			d.Why = fmt.Sprintf("accuracy dropped %.1fpp (threshold %.1fpp)",
-				-d.AccuracyDeltaPP, accuracyPP)
-		case d.BaseSpeedup > 0 && -d.SpeedupDeltaPct > speedupPct:
-			d.Regressed = true
-			d.Why = fmt.Sprintf("geomean speedup dropped %.1f%% (threshold %.1f%%)",
-				-d.SpeedupDeltaPct, speedupPct)
-		}
-		if d.Regressed {
-			rep.Regressions++
-		}
-		rep.Evals = append(rep.Evals, d)
-	}
-	sort.Slice(rep.Evals, func(i, j int) bool { return rep.Evals[i].Key < rep.Evals[j].Key })
-	return rep, nil
-}
-
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Render writes the diff as an aligned table with a one-line verdict.
-func (r *DiffReport) Render(w io.Writer) {
-	if r.NoBaseline {
-		fmt.Fprintln(w, "no comparable baseline on this machine — nothing to gate")
-		return
-	}
-	fmt.Fprintf(w, "model diff vs median of %d baseline run(s)  (thresholds: accuracy -%.1fpp, speedup -%.1f%%)\n",
-		r.BaselineRuns, r.AccuracyPP, r.SpeedupPct)
-	fmt.Fprintf(w, "%-44s %9s %9s %8s %9s %9s\n", "EVAL", "BASE ACC", "NEW ACC", "DELTA", "BASE SPD", "NEW SPD")
-	for _, d := range r.Evals {
-		spBase, spNew := "-", "-"
-		if d.BaseSpeedup > 0 {
-			spBase = fmt.Sprintf("%.2fx", d.BaseSpeedup)
-		}
-		if d.NewSpeedup > 0 {
-			spNew = fmt.Sprintf("%.2fx", d.NewSpeedup)
-		}
-		mark := ""
-		if d.Regressed {
-			mark = "  << REGRESSION: " + d.Why
-		}
-		fmt.Fprintf(w, "%-44s %8.1f%% %8.1f%% %+7.1fpp %9s %9s%s\n",
-			d.Key, d.BaseAccuracy*100, d.NewAccuracy*100, d.AccuracyDeltaPP, spBase, spNew, mark)
-	}
-	if r.Regressions > 0 {
-		fmt.Fprintf(w, "FAIL: %d evaluation(s) regressed\n", r.Regressions)
-	} else {
-		fmt.Fprintln(w, "OK: no regressions")
-	}
-}
-
-// RenderHistory writes one row per record: timestamp, revision, and each
-// evaluation's accuracy.
-func RenderHistory(w io.Writer, history []Record) {
-	if len(history) == 0 {
-		fmt.Fprintln(w, "history is empty")
-		return
-	}
-	fmt.Fprintf(w, "%-20s %-10s %s\n", "TIME", "REV", "EVALS")
-	for _, r := range history {
-		parts := make([]string, 0, len(r.Evals))
-		for i := range r.Evals {
-			s := &r.Evals[i]
-			cell := fmt.Sprintf("%s=%.1f%%", s.Key(), s.Accuracy*100)
-			if s.GeomeanSpeedup > 0 {
-				cell += fmt.Sprintf(" (%.2fx)", s.GeomeanSpeedup)
-			}
-			parts = append(parts, cell)
-		}
-		rev := r.GitRev
-		if rev == "" {
-			rev = "-"
-		}
-		fmt.Fprintf(w, "%-20s %-10s %s\n",
-			r.Time.UTC().Format("2006-01-02 15:04:05"), rev, strings.Join(parts, "  "))
-	}
+	return rec
 }

@@ -11,10 +11,10 @@
 //   - evaluation reporting: Report aggregates a journal's trained and
 //     predicted events into training curves, per-suite confusion
 //     matrices, and accuracy/speedup tables (`cltrace model report`);
-//   - regression gating: BuildRecord/Append/Diff keep a clperf-style
-//     JSONL history of evaluation summaries and gate the newest run
-//     against the median of comparable predecessors
-//     (`cltrace model record` / `cltrace model diff`).
+//   - regression gating: BuildRecord turns evaluation summaries into an
+//     internal/gate record, so `cltrace model record` / `cltrace model
+//     diff` gate the newest run against the median of comparable
+//     predecessors.
 //
 // Training-side events (the per-epoch trained stream with model lineage
 // IDs) are emitted by internal/nn and internal/model directly — mlobs

@@ -3,12 +3,14 @@ package mlobs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"clgen/internal/driver"
 	"clgen/internal/features"
+	"clgen/internal/gate"
 	"clgen/internal/grewe"
 	"clgen/internal/interp"
 	"clgen/internal/journal"
@@ -156,87 +158,101 @@ func TestReportAggregation(t *testing.T) {
 	}
 }
 
-func rec(acc, speedup float64) Record {
-	return Record{
-		Time: time.Unix(0, 0),
-		Env:  telemetry.Env(),
-		Evals: []EvalSummary{{
-			Experiment: "figure7", System: "AMD", Variant: "grewe",
-			N: 20, Correct: int(acc * 20), Accuracy: acc, GeomeanSpeedup: speedup,
-		}},
+// rec builds the record BuildRecord makes of one figure7 evaluation with
+// the given accuracy and geomean speedup.
+func rec(acc, speedup float64) gate.Record {
+	var events []journal.Event
+	for i := 0; i < 100; i++ {
+		ev := journal.Event{Stage: journal.StagePredicted, Experiment: "figure7", System: "AMD",
+			Variant: "grewe", Predicted: "GPU", Oracle: "GPU", Speedup: speedup}
+		if i >= int(math.Round(acc*100)) {
+			ev.Oracle = "CPU"
+		}
+		events = append(events, ev)
 	}
+	r := BuildRecord(events, "")
+	r.Time = time.Unix(0, 0)
+	return r
 }
+
+// modelTolerance is the rule cltrace model diff applies by default.
+var modelTolerance = gate.Tolerance{Pct: 5, Points: 2}
 
 func TestDiffGate(t *testing.T) {
 	// Identical reruns gate clean.
-	hist := []Record{rec(0.8, 2.0), rec(0.8, 2.0), rec(0.8, 2.0)}
-	d, err := Diff(hist, 2, 5)
+	hist := []gate.Record{rec(0.8, 2.0), rec(0.8, 2.0), rec(0.8, 2.0)}
+	d, err := gate.Diff(hist, modelTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.OK() {
-		t.Fatalf("identical history tripped the gate: %+v", d.Evals)
+		t.Fatalf("identical history tripped the gate: %+v", d.Rows)
 	}
 	// Accuracy collapse trips it.
-	d, err = Diff(append(hist[:2:2], rec(0.4, 2.0)), 2, 5)
+	d, err = gate.Diff(append(hist[:2:2], rec(0.4, 2.0)), modelTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.OK() || d.Regressions != 1 {
-		t.Fatalf("accuracy drop did not trip the gate: %+v", d.Evals)
-	}
-	if !strings.Contains(d.Evals[0].Why, "accuracy") {
-		t.Fatalf("why = %q", d.Evals[0].Why)
+	if bad := d.Regressions(); len(bad) != 1 || bad[0].Name != "figure7 / AMD / grewe accuracy" {
+		t.Fatalf("accuracy drop did not trip the gate: %+v", d.Rows)
 	}
 	// Speedup collapse trips it too.
-	d, err = Diff(append(hist[:2:2], rec(0.8, 1.0)), 2, 5)
+	d, err = gate.Diff(append(hist[:2:2], rec(0.8, 1.0)), modelTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.OK() {
-		t.Fatalf("speedup drop did not trip the gate: %+v", d.Evals)
+	if bad := d.Regressions(); len(bad) != 1 || bad[0].Name != "figure7 / AMD / grewe speedup" {
+		t.Fatalf("speedup drop did not trip the gate: %+v", d.Rows)
 	}
 	// Small jitter within thresholds stays clean.
-	d, err = Diff(append(hist[:2:2], rec(0.79, 1.96)), 2, 5)
+	d, err = gate.Diff(append(hist[:2:2], rec(0.79, 1.96)), modelTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !d.OK() {
-		t.Fatalf("within-threshold change tripped the gate: %+v", d.Evals)
+		t.Fatalf("within-threshold change tripped the gate: %+v", d.Rows)
+	}
+	// A speedup over a zero baseline is never a regression.
+	d, err = gate.Diff([]gate.Record{rec(0.8, 0), rec(0.8, 1.0)}, modelTolerance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.OK() {
+		t.Fatalf("speedup against a zero baseline tripped the gate: %+v", d.Rows)
 	}
 	// A record from a different machine forms no baseline.
 	other := rec(0.8, 2.0)
 	other.Env.NumCPU++
-	d, err = Diff([]Record{other, rec(0.8, 2.0)}, 2, 5)
+	d, err = gate.Diff([]gate.Record{other, rec(0.8, 2.0)}, modelTolerance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.NoBaseline {
+	if d.BaselineRuns != 0 {
 		t.Fatal("cross-machine record formed a baseline")
 	}
 }
 
 func TestHistoryRoundTrip(t *testing.T) {
 	path := t.TempDir() + "/hist.jsonl"
-	if err := Append(path, rec(0.8, 2.0)); err != nil {
+	if err := gate.Append(path, rec(0.8, 2.0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Append(path, rec(0.75, 1.9)); err != nil {
+	if err := gate.Append(path, rec(0.75, 1.9)); err != nil {
 		t.Fatal(err)
 	}
-	hist, err := ReadHistory(path)
+	hist, err := gate.ReadHistory(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(hist) != 2 {
 		t.Fatalf("read %d records", len(hist))
 	}
-	if hist[1].Evals[0].Accuracy != 0.75 {
-		t.Fatalf("round-trip accuracy %v", hist[1].Evals[0].Accuracy)
+	if m := hist[1].Metrics[0]; m.Value != 75 || m.Unit != "%" || m.Bad != gate.Down {
+		t.Fatalf("round-trip accuracy %+v", m)
 	}
 	var b strings.Builder
-	RenderHistory(&b, hist)
-	if !strings.Contains(b.String(), "figure7 / AMD / grewe") {
+	gate.RenderHistory(&b, hist, "")
+	if !strings.Contains(b.String(), "figure7 / AMD / grewe accuracy=75.0%") {
 		t.Fatalf("history render missing eval key:\n%s", b.String())
 	}
 }
@@ -247,7 +263,11 @@ func TestBuildRecordFromEvents(t *testing.T) {
 			Predicted: "GPU", Oracle: "GPU", Speedup: 2},
 	}
 	r := BuildRecord(events, "abc1234")
-	if r.GitRev != "abc1234" || len(r.Evals) != 1 || r.Evals[0].Accuracy != 1 {
+	want := []gate.Metric{
+		{Name: "figure7 / AMD / grewe accuracy", Value: 100, Bad: gate.Down, Unit: "%"},
+		{Name: "figure7 / AMD / grewe speedup", Value: 2, Bad: gate.Down, Unit: "x"},
+	}
+	if r.GitRev != "abc1234" || r.Component != component || !reflect.DeepEqual(r.Metrics, want) {
 		t.Fatalf("record wrong: %+v", r)
 	}
 	if r.Env == (telemetry.EnvInfo{}) {

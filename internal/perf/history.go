@@ -1,62 +1,25 @@
 package perf
 
 import (
-	"bufio"
-	"encoding/json"
-	"fmt"
-	"io"
-	"os"
 	"sort"
-	"strings"
-	"time"
 
+	"clgen/internal/gate"
 	"clgen/internal/telemetry"
 )
 
-// Diff defaults: a stage regresses only when it is BOTH thresholdPct
-// slower than the baseline median AND at least minSeconds slower in
-// absolute terms. The generous defaults keep short noisy stages (a few
-// ms of scheduler jitter is easily 2x) from tripping the gate; tighten
-// them per-invocation for long deterministic benchmarks.
-const (
-	DefaultThresholdPct = 75
-	DefaultMinSeconds   = 0.1
-)
+// total names the whole-run wall time among a record's per-stage metrics.
+const total = "(total)"
 
-// StageProfile is one stage's flattened totals in a history record.
-type StageProfile struct {
-	Seconds        float64 `json:"s"`
-	Count          int     `json:"n"`
-	CPUSeconds     float64 `json:"cpu_s,omitempty"`
-	AllocBytes     int64   `json:"alloc_b,omitempty"`
-	GCPauseSeconds float64 `json:"gc_pause_s,omitempty"`
-}
-
-// Record is one run's perf profile: a machine stamp plus per-stage
-// totals. clperf record appends these to a JSONL history; clperf diff
-// compares the newest record against the median of comparable (same
-// machine, same component) predecessors.
-type Record struct {
-	Time      time.Time               `json:"t"`
-	Component string                  `json:"component"`
-	GitRev    string                  `json:"git_rev,omitempty"`
-	Env       telemetry.EnvInfo       `json:"env"`
-	Seconds   float64                 `json:"seconds"`
-	Stages    map[string]StageProfile `json:"stages,omitempty"`
-}
-
-// BuildRecord flattens a RunReport's stage tree into per-stage totals,
-// summing spans that share a name (parallel stages open many). Perf
-// attrs (cpu_s, alloc_bytes, gc_pause_s) are carried over when present —
-// i.e. when the run had -perf set.
-func BuildRecord(rep *telemetry.RunReport, gitRev string) Record {
-	rec := Record{
+// BuildRecord flattens a RunReport's stage tree into a gate record: one
+// metric per stage name, summing spans that share it (parallel stages
+// open many), in name order, then the run's total. Every metric is
+// seconds and regresses upward.
+func BuildRecord(rep *telemetry.RunReport, gitRev string) gate.Record {
+	rec := gate.Record{
 		Time:      rep.End,
 		Component: rep.Component,
 		GitRev:    gitRev,
 		Env:       rep.Env,
-		Seconds:   rep.Seconds,
-		Stages:    map[string]StageProfile{},
 	}
 	if rec.Env == (telemetry.EnvInfo{}) {
 		// Pre-Env reports: stamp the recording machine so diff still has
@@ -64,258 +27,27 @@ func BuildRecord(rep *telemetry.RunReport, gitRev string) Record {
 		// case).
 		rec.Env = telemetry.Env()
 	}
+	seconds := map[string]float64{}
 	var walk func(nodes []telemetry.StageNode)
 	walk = func(nodes []telemetry.StageNode) {
 		for _, n := range nodes {
-			p := rec.Stages[n.Name]
-			p.Seconds += n.Seconds
-			p.Count++
-			p.CPUSeconds += attrFloat(n.Attrs, "cpu_s")
-			p.AllocBytes += int64(attrFloat(n.Attrs, "alloc_bytes"))
-			p.GCPauseSeconds += attrFloat(n.Attrs, "gc_pause_s")
-			rec.Stages[n.Name] = p
+			seconds[n.Name] += n.Seconds
 			walk(n.Children)
 		}
 	}
 	walk(rep.Stages)
-	return rec
-}
-
-// attrFloat reads a numeric attr whatever Go or JSON type it arrived as.
-func attrFloat(attrs map[string]any, key string) float64 {
-	switch v := attrs[key].(type) {
-	case float64:
-		return v
-	case int:
-		return float64(v)
-	case int64:
-		return float64(v)
-	case json.Number:
-		f, _ := v.Float64()
-		return f
-	default:
-		return 0
-	}
-}
-
-// Append appends rec as one JSON line to the history at path, creating
-// it if needed.
-func Append(path string, rec Record) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("perf: marshal record: %w", err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("perf: open history: %w", err)
-	}
-	defer f.Close()
-	if _, err := f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("perf: append history: %w", err)
-	}
-	return nil
-}
-
-// ReadHistory loads all records from the JSONL history at path, oldest
-// first. Blank lines are skipped; a malformed line is an error (the
-// history is machine-written).
-func ReadHistory(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("perf: open history: %w", err)
-	}
-	defer f.Close()
-	var out []Record
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil {
-			return nil, fmt.Errorf("perf: history %s line %d: %w", path, lineNo, err)
-		}
-		out = append(out, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("perf: read history: %w", err)
-	}
-	return out, nil
-}
-
-// StageDiff compares one stage between the newest record and its
-// baseline median.
-type StageDiff struct {
-	Stage        string  `json:"stage"`
-	BaseSeconds  float64 `json:"base_seconds"`
-	NewSeconds   float64 `json:"new_seconds"`
-	DeltaPct     float64 `json:"delta_pct"`
-	BaselineRuns int     `json:"baseline_runs"`
-	Regressed    bool    `json:"regressed"`
-}
-
-// DiffReport is the outcome of gating the newest history record against
-// comparable predecessors.
-type DiffReport struct {
-	Component    string      `json:"component"`
-	ThresholdPct float64     `json:"threshold_pct"`
-	MinSeconds   float64     `json:"min_seconds"`
-	BaselineRuns int         `json:"baseline_runs"`
-	NoBaseline   bool        `json:"no_baseline"`
-	Stages       []StageDiff `json:"stages,omitempty"`
-	Regressions  int         `json:"regressions"`
-}
-
-// Diff gates the newest record in history against the median of earlier
-// records with the same component AND the same machine stamp — cross-
-// machine comparisons are meaningless, so they simply don't form a
-// baseline. A stage (or the run total) regresses when it exceeds the
-// baseline median by both thresholdPct percent and minSeconds seconds.
-func Diff(history []Record, thresholdPct, minSeconds float64) (*DiffReport, error) {
-	if thresholdPct <= 0 {
-		thresholdPct = DefaultThresholdPct
-	}
-	if minSeconds < 0 {
-		minSeconds = DefaultMinSeconds
-	}
-	if len(history) == 0 {
-		return nil, fmt.Errorf("perf: history is empty")
-	}
-	newest := history[len(history)-1]
-	rep := &DiffReport{
-		Component:    newest.Component,
-		ThresholdPct: thresholdPct,
-		MinSeconds:   minSeconds,
-	}
-	var base []Record
-	for _, r := range history[:len(history)-1] {
-		if r.Component == newest.Component && r.Env == newest.Env {
-			base = append(base, r)
-		}
-	}
-	rep.BaselineRuns = len(base)
-	if len(base) == 0 {
-		rep.NoBaseline = true
-		return rep, nil
-	}
-
-	// "(total)" rides alongside the per-stage rows using the same rule.
-	stageSet := map[string]bool{}
-	for name := range newest.Stages {
-		stageSet[name] = true
-	}
-	names := make([]string, 0, len(stageSet)+1)
-	for name := range stageSet {
+	names := make([]string, 0, len(seconds))
+	for name := range seconds {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	names = append(names, "(total)")
-
 	for _, name := range names {
-		var samples []float64
-		for _, r := range base {
-			if name == "(total)" {
-				samples = append(samples, r.Seconds)
-			} else if p, ok := r.Stages[name]; ok {
-				samples = append(samples, p.Seconds)
-			}
-		}
-		if len(samples) == 0 {
-			continue // stage is new in this run: nothing to regress against
-		}
-		baseSec := median(samples)
-		newSec := newest.Seconds
-		if name != "(total)" {
-			newSec = newest.Stages[name].Seconds
-		}
-		d := StageDiff{
-			Stage:        name,
-			BaseSeconds:  baseSec,
-			NewSeconds:   newSec,
-			BaselineRuns: len(samples),
-		}
-		if baseSec > 0 {
-			d.DeltaPct = (newSec - baseSec) / baseSec * 100
-		}
-		d.Regressed = newSec > baseSec*(1+thresholdPct/100) && newSec-baseSec > minSeconds
-		if d.Regressed {
-			rep.Regressions++
-		}
-		rep.Stages = append(rep.Stages, d)
+		rec.Metrics = append(rec.Metrics, stageMetric(name, seconds[name]))
 	}
-	return rep, nil
+	rec.Metrics = append(rec.Metrics, stageMetric(total, rep.Seconds))
+	return rec
 }
 
-func median(v []float64) float64 {
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Render writes the diff as an aligned table with a one-line verdict.
-func (r *DiffReport) Render(w io.Writer) {
-	if r.NoBaseline {
-		fmt.Fprintf(w, "no comparable baseline for component %q on this machine — nothing to gate\n", r.Component)
-		return
-	}
-	fmt.Fprintf(w, "perf diff: %s vs median of %d baseline run(s)  (threshold +%g%% and +%gs)\n",
-		r.Component, r.BaselineRuns, r.ThresholdPct, r.MinSeconds)
-	fmt.Fprintf(w, "%-32s %12s %12s %9s\n", "STAGE", "BASE", "NEW", "DELTA")
-	for _, d := range r.Stages {
-		mark := ""
-		if d.Regressed {
-			mark = "  << REGRESSION"
-		}
-		fmt.Fprintf(w, "%-32s %11.3fs %11.3fs %+8.1f%%%s\n",
-			d.Stage, d.BaseSeconds, d.NewSeconds, d.DeltaPct, mark)
-	}
-	if r.Regressions > 0 {
-		fmt.Fprintf(w, "FAIL: %d stage(s) regressed\n", r.Regressions)
-	} else {
-		fmt.Fprintf(w, "OK: no regressions\n")
-	}
-}
-
-// RenderHistory writes the per-stage trajectory across records: one row
-// per run, one column per stage (or just the named stage).
-func RenderHistory(w io.Writer, history []Record, stage string) {
-	if len(history) == 0 {
-		fmt.Fprintln(w, "history is empty")
-		return
-	}
-	fmt.Fprintf(w, "%-20s %-10s %-10s %10s  %s\n", "TIME", "COMPONENT", "REV", "TOTAL", "STAGES")
-	for _, r := range history {
-		names := make([]string, 0, len(r.Stages))
-		for name := range r.Stages {
-			if stage != "" && name != stage {
-				continue
-			}
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		parts := make([]string, 0, len(names))
-		for _, name := range names {
-			p := r.Stages[name]
-			cell := fmt.Sprintf("%s=%.3fs", name, p.Seconds)
-			if p.CPUSeconds > 0 {
-				cell += fmt.Sprintf(" (cpu %.3fs)", p.CPUSeconds)
-			}
-			parts = append(parts, cell)
-		}
-		rev := r.GitRev
-		if rev == "" {
-			rev = "-"
-		}
-		fmt.Fprintf(w, "%-20s %-10s %-10s %9.3fs  %s\n",
-			r.Time.UTC().Format("2006-01-02 15:04:05"), r.Component, rev, r.Seconds,
-			strings.Join(parts, "  "))
-	}
+func stageMetric(name string, seconds float64) gate.Metric {
+	return gate.Metric{Name: name, Value: seconds, Bad: gate.Up, Unit: "s"}
 }

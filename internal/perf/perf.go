@@ -12,9 +12,9 @@
 //     pipeline stops advancing past a deadline (or on SIGQUIT), goroutine
 //     stacks, the ring, and the in-flight artifact IDs are dumped to a
 //     crash-report file.
-//   - Run history: a machine-stamped per-stage profile appended to a
-//     JSONL history on exit, which the clperf binary records, prints, and
-//     diffs as a noise-aware perf regression gate.
+//   - Run history: BuildRecord flattens a run into per-stage seconds,
+//     appended on exit to an internal/gate JSONL history that the clperf
+//     binary records, prints, and diffs as a noise-aware regression gate.
 //
 // The package registers itself with telemetry via init hooks (telemetry
 // cannot import perf), so binaries opt in with a blank import:

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"clgen/internal/gate"
 	"clgen/internal/telemetry"
 )
 
@@ -87,17 +88,13 @@ func TestStartCloser(t *testing.T) {
 	if telemetry.PerfSamplingEnabled() {
 		t.Fatal("sampling still enabled after Close")
 	}
-	recs, err := ReadHistory(hist)
+	recs, err := gate.ReadHistory(hist)
 	if err != nil {
 		t.Fatal(err)
 	}
 	last := recs[len(recs)-1]
-	p, ok := last.Stages["perf.start_test"]
-	if !ok {
-		t.Fatalf("history record lacks the test stage: %+v", last.Stages)
-	}
-	if p.Count < 1 {
-		t.Fatalf("stage profile = %+v", p)
+	if _, ok := metric(last, "perf.start_test"); !ok {
+		t.Fatalf("history record lacks the test stage: %+v", last.Metrics)
 	}
 	if last.Env != telemetry.Env() {
 		t.Fatalf("history env = %+v, want current env", last.Env)

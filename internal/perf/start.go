@@ -4,6 +4,7 @@ import (
 	"io"
 	"time"
 
+	"clgen/internal/gate"
 	"clgen/internal/telemetry"
 )
 
@@ -46,10 +47,10 @@ func (c *closer) Close() error {
 		start = time.Now()
 	}
 	rep := telemetry.BuildReport(c.cfg.Component, start, telemetry.Default(), telemetry.DefaultTracer())
-	rec := BuildRecord(rep, GitRev())
-	if err := Append(c.cfg.HistoryPath, rec); err != nil {
+	rec := BuildRecord(rep, gate.GitRev())
+	if err := gate.Append(c.cfg.HistoryPath, rec); err != nil {
 		return err
 	}
-	telemetry.Info("perf history appended", "path", c.cfg.HistoryPath, "stages", len(rec.Stages))
+	telemetry.Info("perf history appended", "path", c.cfg.HistoryPath, "metrics", len(rec.Metrics))
 	return nil
 }
