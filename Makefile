@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: check build vet vet-stages fmt test race bench bench-snapshot provenance-smoke perf-smoke cache-smoke model-smoke feature-smoke footprint-smoke lint-suites
+.PHONY: check build vet vet-stages fmt test race bench bench-snapshot provenance-smoke perf-smoke cache-smoke model-smoke feature-smoke footprint-smoke lint-suites interp-fuzz
 
 check: build vet vet-stages fmt race
 
@@ -154,6 +154,12 @@ footprint-smoke:
 	@/tmp/cltrace-foot funnel /tmp/foot-wN.jsonl | grep -q "1 rescued" || \
 		{ echo "footprint-smoke: funnel did not count the rescued kernel"; exit 1; }
 	@echo "footprint-smoke: journals worker-independent, funnel renders footprints"
+
+# Fuzzes the interpreter for 30s from the suite kernels and the kernels
+# of interp_test.go: every input that loads must run without panicking,
+# and two runs of one payload must agree exactly (FuzzInterp).
+interp-fuzz:
+	$(GO) test -run '^$$' -fuzz FuzzInterp -fuzztime 30s ./internal/interp
 
 # Static-analyzer false-positive sweep over the seven benchmark suites:
 # cllint exits nonzero if any hand-audited working kernel draws an

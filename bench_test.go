@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -316,9 +317,10 @@ func BenchmarkFrontend(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpSaxpy measures kernel execution throughput.
-func BenchmarkInterpSaxpy(b *testing.B) {
-	f, err := clc.Parse(benchKernel)
+// loadBenchEnv compiles a one-kernel source for the interpreter benches.
+func loadBenchEnv(b *testing.B, src string) *interp.Env {
+	b.Helper()
+	f, err := clc.Parse(src)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -329,6 +331,13 @@ func BenchmarkInterpSaxpy(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return env
+}
+
+// BenchmarkInterpSaxpy measures kernel execution throughput, reported
+// per work-item: time and heap allocations.
+func BenchmarkInterpSaxpy(b *testing.B) {
+	env := loadBenchEnv(b, benchKernel)
 	const n = 4096
 	bufA := interp.NewBuffer(clc.Float, n, clc.Global)
 	bufB := interp.NewBuffer(clc.Float, n, clc.Global)
@@ -338,13 +347,53 @@ func BenchmarkInterpSaxpy(b *testing.B) {
 		interp.IntValue(clc.Int, n),
 	}
 	cfg := interp.RunConfig{GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{64, 1, 1}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := env.Run("A", args, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	items := float64(b.N) * n
 	b.ReportMetric(float64(n), "workitems/op")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/items, "ns/workitem")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/items, "allocs/workitem")
+}
+
+// benchLoopKernel is loop-heavy: every work-item walks the whole input.
+const benchLoopKernel = `__kernel void A(__global float* a, __global float* b, const int c) {
+  int d = get_global_id(0);
+  float e = 0.0f;
+  for (int f = 0; f < c; f++) {
+    e += a[f] * 0.5f + (float)(f & 3);
+  }
+  b[d] = e;
+}`
+
+// BenchmarkInterpSteps measures raw interpreter speed in budget steps
+// per second (Profile.Steps) on a loop-heavy kernel.
+func BenchmarkInterpSteps(b *testing.B) {
+	env := loadBenchEnv(b, benchLoopKernel)
+	const n = 256
+	args := []interp.Value{
+		interp.PtrValue(&interp.Pointer{Buf: interp.NewBuffer(clc.Float, n, clc.Global), Elem: clc.TypeFloat}),
+		interp.PtrValue(&interp.Pointer{Buf: interp.NewBuffer(clc.Float, n, clc.Global), Elem: clc.TypeFloat}),
+		interp.IntValue(clc.Int, n),
+	}
+	cfg := interp.RunConfig{GlobalSize: [3]int{n, 1, 1}, LocalSize: [3]int{64, 1, 1}}
+	var steps int64
+	for i := 0; i < b.N; i++ {
+		prof, err := env.Run("A", args, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps += prof.Steps
+	}
+	b.ReportMetric(float64(steps)/b.Elapsed().Seconds(), "steps/s")
+	b.ReportMetric(float64(steps)/float64(b.N), "steps/op")
 }
 
 // BenchmarkRewriter measures normalization throughput.

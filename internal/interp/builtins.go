@@ -9,16 +9,126 @@ import (
 	"clgen/internal/clc"
 )
 
-// callBuiltin dispatches an OpenCL built-in function call.
-func (c *wiCtx) callBuiltin(x *clc.CallExpr) (Value, error) {
+// noOffset is the global offset of every launch: launches have none.
+var noOffset [3]int64
+
+// workItemQueries maps each get_* query to the ids or sizes it reads.
+var workItemQueries = map[string]func(f *frame) *[3]int64{
+	"get_global_id":     func(f *frame) *[3]int64 { return &f.gid },
+	"get_local_id":      func(f *frame) *[3]int64 { return &f.lid },
+	"get_group_id":      func(f *frame) *[3]int64 { return &f.grp },
+	"get_global_size":   func(f *frame) *[3]int64 { return &f.gsize },
+	"get_local_size":    func(f *frame) *[3]int64 { return &f.lsize },
+	"get_num_groups":    func(f *frame) *[3]int64 { return &f.ngrp },
+	"get_global_offset": func(f *frame) *[3]int64 { return &noOffset },
+}
+
+// builtin compiles a call to an OpenCL built-in function, resolving the
+// callee once. Every returned closure charges the call's own step first,
+// then evaluates the arguments exactly as far as the built-in needs.
+func (c *compiler) builtin(x *clc.CallExpr) exprFn {
 	name := x.Fun
-	// Work-item queries take a literal-int dimension argument.
+	args := c.exprs(x.Args)
+	if ids, ok := workItemQueries[name]; ok {
+		return workItemQuery(ids, args)
+	}
 	switch name {
-	case "get_global_id", "get_local_id", "get_group_id",
-		"get_global_size", "get_local_size", "get_num_groups", "get_global_offset":
+	case "get_work_dim":
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
+				return Value{}, err
+			}
+			dims := int64(1)
+			if f.gsize[1] > 1 {
+				dims = 2
+			}
+			if f.gsize[2] > 1 {
+				dims = 3
+			}
+			return IntValue(clc.UInt, dims), nil
+		}
+	case "barrier", "work_group_barrier", "mem_fence", "read_mem_fence", "write_mem_fence",
+		"printf", "prefetch", "wait_group_events":
+		// The arguments are evaluated for their side effects only.
+		fence := strings.Contains(name, "barrier") || strings.Contains(name, "fence")
+		sync := strings.Contains(name, "barrier")
+		var ret Value
+		if name == "printf" {
+			ret = IntValue(clc.Int, 0)
+		}
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
+				return Value{}, err
+			}
+			for _, a := range args {
+				if _, err := a(f); err != nil {
+					return Value{}, err
+				}
+			}
+			if fence {
+				f.prof.Barriers++
+			}
+			if sync && f.yield != nil {
+				if err := f.yield(); err != nil {
+					return Value{}, err
+				}
+			}
+			return ret, nil
+		}
+	}
+	if b := clc.LookupBuiltin(name); b != nil && b.Atomic {
+		return atomic(name, args)
+	}
+
+	// Everything below evaluates all arguments first.
+	var impl func(f *frame, argv []Value) (Value, error)
+	if t, ok := clc.ConversionTarget(name); ok {
+		bits := strings.HasPrefix(name, "as_")
+		impl = func(f *frame, argv []Value) (Value, error) {
+			if len(argv) != 1 {
+				return Value{}, fmt.Errorf("interp: %s takes 1 argument", name)
+			}
+			if bits {
+				return bitReinterpret(argv[0], t)
+			}
+			return Convert(argv[0], t)
+		}
+	} else if n, ok := clc.VectorWidthOfName(name); ok {
+		if strings.HasPrefix(name, "vload") {
+			impl = func(f *frame, argv []Value) (Value, error) { return f.vload(n, argv) }
+		} else {
+			impl = func(f *frame, argv []Value) (Value, error) { return Value{}, f.vstore(n, argv) }
+		}
+	} else if name == "async_work_group_copy" || name == "async_work_group_strided_copy" {
+		// async copies: perform synchronously.
+		impl = func(f *frame, argv []Value) (Value, error) { return f.asyncCopy(name, argv) }
+	} else if fn, ok := mathBuiltins[name]; ok {
+		impl = func(f *frame, argv []Value) (Value, error) {
+			v, err := fn(f, argv)
+			if err != nil {
+				return Value{}, fmt.Errorf("interp: %s: %w", name, err)
+			}
+			f.countArith(v.Kind, max(v.Width, 1))
+			return v, nil
+		}
+	} else {
+		impl = func(f *frame, argv []Value) (Value, error) {
+			return Value{}, fmt.Errorf("interp: unimplemented builtin %q", name)
+		}
+	}
+	return call(args, impl)
+}
+
+// workItemQuery compiles get_global_id and its relatives. The dimension
+// argument is evaluated (and charged) like any other expression.
+func workItemQuery(ids func(f *frame) *[3]int64, args []exprFn) exprFn {
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
 		dim := 0
-		if len(x.Args) > 0 {
-			v, err := c.evalExpr(x.Args[0])
+		if len(args) > 0 {
+			v, err := args[0](f)
 			if err != nil {
 				return Value{}, err
 			}
@@ -27,213 +137,110 @@ func (c *wiCtx) callBuiltin(x *clc.CallExpr) (Value, error) {
 		if dim < 0 || dim > 2 {
 			return IntValue(clc.ULong, 0), nil
 		}
-		switch name {
-		case "get_global_id":
-			return IntValue(clc.ULong, c.gid[dim]), nil
-		case "get_local_id":
-			return IntValue(clc.ULong, c.lid[dim]), nil
-		case "get_group_id":
-			return IntValue(clc.ULong, c.grp[dim]), nil
-		case "get_global_size":
-			return IntValue(clc.ULong, c.gsize[dim]), nil
-		case "get_local_size":
-			return IntValue(clc.ULong, c.lsize[dim]), nil
-		case "get_num_groups":
-			return IntValue(clc.ULong, c.ngrp[dim]), nil
-		default: // get_global_offset
-			return IntValue(clc.ULong, 0), nil
-		}
-	case "get_work_dim":
-		dims := int64(1)
-		if c.gsize[1] > 1 {
-			dims = 2
-		}
-		if c.gsize[2] > 1 {
-			dims = 3
-		}
-		return IntValue(clc.UInt, dims), nil
-	case "barrier", "work_group_barrier", "mem_fence", "read_mem_fence", "write_mem_fence":
-		// Evaluate the flags argument for side effects.
-		for _, a := range x.Args {
-			if _, err := c.evalExpr(a); err != nil {
-				return Value{}, err
-			}
-		}
-		c.prof.Barriers++
-		if name == "barrier" || name == "work_group_barrier" {
-			if c.yield != nil {
-				if err := c.yield(); err != nil {
-					return Value{}, err
-				}
-			}
-		}
-		return Value{}, nil
-	case "printf":
-		for _, a := range x.Args {
-			if _, err := c.evalExpr(a); err != nil {
-				return Value{}, err
-			}
-		}
-		return IntValue(clc.Int, 0), nil
-	case "prefetch", "wait_group_events":
-		for _, a := range x.Args {
-			if _, err := c.evalExpr(a); err != nil {
-				return Value{}, err
-			}
-		}
-		return Value{}, nil
+		return IntValue(clc.ULong, ids(f)[dim]), nil
 	}
-
-	// Atomics.
-	if b := clc.LookupBuiltin(name); b != nil && b.Atomic {
-		return c.callAtomic(name, x.Args)
-	}
-
-	// Evaluate arguments once for everything below.
-	args := make([]Value, len(x.Args))
-	for i, a := range x.Args {
-		v, err := c.evalExpr(a)
-		if err != nil {
-			return Value{}, err
-		}
-		args[i] = v
-	}
-
-	// Conversions: convert_T / as_T.
-	if t, ok := clc.ConversionTarget(name); ok {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("interp: %s takes 1 argument", name)
-		}
-		if strings.HasPrefix(name, "as_") {
-			return bitReinterpret(args[0], t)
-		}
-		return Convert(args[0], t)
-	}
-
-	// vloadN / vstoreN.
-	if n, ok := clc.VectorWidthOfName(name); ok {
-		if strings.HasPrefix(name, "vload") {
-			return c.vload(n, args)
-		}
-		return Value{}, c.vstore(n, args)
-	}
-
-	// async copies: perform synchronously.
-	if name == "async_work_group_copy" || name == "async_work_group_strided_copy" {
-		return c.asyncCopy(name, args)
-	}
-
-	if fn, ok := mathBuiltins[name]; ok {
-		v, err := fn(c, args)
-		if err != nil {
-			return Value{}, fmt.Errorf("interp: %s: %w", name, err)
-		}
-		c.countArith(v.Kind, max(v.Width, 1))
-		return v, nil
-	}
-	return Value{}, fmt.Errorf("interp: unimplemented builtin %q", name)
 }
 
-func (c *wiCtx) callAtomic(name string, argExprs []clc.Expr) (Value, error) {
-	if len(argExprs) == 0 {
-		return Value{}, fmt.Errorf("interp: %s needs a pointer argument", name)
-	}
-	pv, err := c.evalExpr(argExprs[0])
-	if err != nil {
-		return Value{}, err
-	}
-	if !pv.IsPointer() {
-		return Value{}, fmt.Errorf("interp: %s on non-pointer", name)
-	}
-	p := pv.Ptr
-	old, _, err := p.Buf.loadScalar(p.Off)
-	if err != nil {
-		return Value{}, err
-	}
-	c.prof.Atomics++
-	var operand int64
-	if len(argExprs) > 1 {
-		v, err := c.evalExpr(argExprs[1])
+// atomicOps maps an atomic built-in's base name to its update of the old
+// value; cmpxchg, which takes a third operand, is handled apart.
+var atomicOps = map[string]func(old, operand int64) int64{
+	"add":  func(old, x int64) int64 { return old + x },
+	"sub":  func(old, x int64) int64 { return old - x },
+	"inc":  func(old, x int64) int64 { return old + 1 },
+	"dec":  func(old, x int64) int64 { return old - 1 },
+	"xchg": func(old, x int64) int64 { return x },
+	"min":  func(old, x int64) int64 { return min(old, x) },
+	"max":  func(old, x int64) int64 { return max(old, x) },
+	"and":  func(old, x int64) int64 { return old & x },
+	"or":   func(old, x int64) int64 { return old | x },
+	"xor":  func(old, x int64) int64 { return old ^ x },
+}
+
+// atomic compiles an atomic_*/atom_* call. The pointer is evaluated and
+// read before the operands, as the checked kernels expect.
+func atomic(name string, args []exprFn) exprFn {
+	base := strings.TrimPrefix(strings.TrimPrefix(name, "atomic_"), "atom_")
+	update := atomicOps[base]
+	cmpxchg := base == "cmpxchg"
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		if len(args) == 0 {
+			return Value{}, fmt.Errorf("interp: %s needs a pointer argument", name)
+		}
+		pv, err := args[0](f)
 		if err != nil {
 			return Value{}, err
 		}
-		operand = v.Int()
-	}
-	base := strings.TrimPrefix(strings.TrimPrefix(name, "atomic_"), "atom_")
-	nv := old
-	switch base {
-	case "add":
-		nv = old + operand
-	case "sub":
-		nv = old - operand
-	case "inc":
-		nv = old + 1
-	case "dec":
-		nv = old - 1
-	case "xchg":
-		nv = operand
-	case "min":
-		if operand < old {
-			nv = operand
+		if !pv.IsPointer() {
+			return Value{}, fmt.Errorf("interp: %s on non-pointer", name)
 		}
-	case "max":
-		if operand > old {
-			nv = operand
+		p := pv.Ptr
+		old, _, err := p.Buf.loadScalar(p.Off)
+		if err != nil {
+			return Value{}, err
 		}
-	case "and":
-		nv = old & operand
-	case "or":
-		nv = old | operand
-	case "xor":
-		nv = old ^ operand
-	case "cmpxchg":
-		var val int64
-		if len(argExprs) > 2 {
-			v, err := c.evalExpr(argExprs[2])
+		f.prof.Atomics++
+		var operand int64
+		if len(args) > 1 {
+			v, err := args[1](f)
 			if err != nil {
 				return Value{}, err
 			}
-			val = v.Int()
+			operand = v.Int()
 		}
-		if old == operand {
-			nv = val
+		nv := old
+		switch {
+		case update != nil:
+			nv = update(old, operand)
+		case cmpxchg:
+			var val int64
+			if len(args) > 2 {
+				v, err := args[2](f)
+				if err != nil {
+					return Value{}, err
+				}
+				val = v.Int()
+			}
+			if old == operand {
+				nv = val
+			}
+		default:
+			return Value{}, fmt.Errorf("interp: unknown atomic %q", name)
 		}
-	default:
-		return Value{}, fmt.Errorf("interp: unknown atomic %q", name)
+		if err := p.Buf.storeScalar(p.Off, nv, float64(nv)); err != nil {
+			return Value{}, err
+		}
+		kind := clc.Int
+		if st, ok := p.Elem.(*clc.ScalarType); ok {
+			kind = st.Kind
+		}
+		return IntValue(kind, old), nil
 	}
-	if err := p.Buf.storeScalar(p.Off, nv, float64(nv)); err != nil {
-		return Value{}, err
-	}
-	kind := clc.Int
-	if st, ok := p.Elem.(*clc.ScalarType); ok {
-		kind = st.Kind
-	}
-	return IntValue(kind, old), nil
 }
 
-func (c *wiCtx) vload(n int, args []Value) (Value, error) {
+func (f *frame) vload(n int, args []Value) (Value, error) {
 	if len(args) != 2 || !args[1].IsPointer() {
 		return Value{}, fmt.Errorf("interp: vload%d(offset, pointer)", n)
 	}
 	p := args[1].Ptr
 	off := args[0].Int() * int64(n)
 	kind := elemKind(p.Elem)
-	out := Value{Kind: kind, Width: n}
+	out := newValue(kind, n)
 	for l := 0; l < n; l++ {
-		i, f, err := p.Buf.loadScalar(p.Off + off + int64(l))
+		i, fl, err := p.Buf.loadScalar(p.Off + off + int64(l))
 		if err != nil {
 			return Value{}, err
 		}
-		s := Value{Kind: p.Buf.Kind, Width: 1}
-		s.I[0], s.F[0] = i, f
-		cs := ConvertScalar(s, kind)
-		out.I[l], out.F[l] = cs.I[0], cs.F[0]
+		cs := ConvertScalar(Value{Kind: p.Buf.Kind, Width: 1, i: i, f: fl}, kind)
+		out.set(l, cs.i, cs.f)
 	}
-	c.countMem(p.Buf.Space, n, false)
+	f.countMem(p.Buf.Space, n, false)
 	return out, nil
 }
 
-func (c *wiCtx) vstore(n int, args []Value) error {
+func (f *frame) vstore(n int, args []Value) error {
 	if len(args) != 3 || !args[2].IsPointer() {
 		return fmt.Errorf("interp: vstore%d(value, offset, pointer)", n)
 	}
@@ -241,22 +248,20 @@ func (c *wiCtx) vstore(n int, args []Value) error {
 	off := args[1].Int() * int64(n)
 	v := args[0]
 	for l := 0; l < n; l++ {
-		var lane Value
+		lane := v
 		if v.Width > 1 {
 			lane = v.Lane(l % v.Width)
-		} else {
-			lane = v
 		}
 		cb := ConvertScalar(lane, p.Buf.Kind)
-		if err := p.Buf.storeScalar(p.Off+off+int64(l), cb.I[0], cb.F[0]); err != nil {
+		if err := p.Buf.storeScalar(p.Off+off+int64(l), cb.i, cb.f); err != nil {
 			return err
 		}
 	}
-	c.countMem(p.Buf.Space, n, true)
+	f.countMem(p.Buf.Space, n, true)
 	return nil
 }
 
-func (c *wiCtx) asyncCopy(name string, args []Value) (Value, error) {
+func (f *frame) asyncCopy(name string, args []Value) (Value, error) {
 	if len(args) < 3 || !args[0].IsPointer() || !args[1].IsPointer() {
 		return Value{}, fmt.Errorf("interp: %s(dst, src, n, ...)", name)
 	}
@@ -278,8 +283,8 @@ func (c *wiCtx) asyncCopy(name string, args []Value) (Value, error) {
 			return Value{}, err
 		}
 	}
-	c.countMem(src.Buf.Space, int(n), false)
-	c.countMem(dst.Buf.Space, int(n), true)
+	f.countMem(src.Buf.Space, int(n), false)
+	f.countMem(dst.Buf.Space, int(n), true)
 	return IntValue(clc.ULong, 0), nil
 }
 
@@ -290,94 +295,84 @@ func bitReinterpret(v Value, t clc.Type) (Value, error) {
 	if isScalar && v.Width <= 1 {
 		switch {
 		case st.Kind == clc.Float && !v.Kind.IsFloat():
-			return FloatValue(clc.Float, float64(math.Float32frombits(uint32(v.I[0])))), nil
+			return FloatValue(clc.Float, float64(math.Float32frombits(uint32(v.li(0))))), nil
 		case st.Kind.IsInteger() && (v.Kind == clc.Float || v.Kind == clc.Half):
-			return IntValue(st.Kind, int64(math.Float32bits(float32(v.F[0])))), nil
+			return IntValue(st.Kind, int64(math.Float32bits(float32(v.lf(0))))), nil
 		case st.Kind == clc.Double && !v.Kind.IsFloat():
-			return FloatValue(clc.Double, math.Float64frombits(uint64(v.I[0]))), nil
+			return FloatValue(clc.Double, math.Float64frombits(uint64(v.li(0)))), nil
 		case st.Kind.IsInteger() && v.Kind == clc.Double:
-			return IntValue(st.Kind, int64(math.Float64bits(v.F[0]))), nil
+			return IntValue(st.Kind, int64(math.Float64bits(v.lf(0)))), nil
 		}
 	}
 	return Convert(v, t)
 }
 
 // mathFn implements one math-family builtin over evaluated arguments.
-type mathFn func(c *wiCtx, args []Value) (Value, error)
+type mathFn func(f *frame, args []Value) (Value, error)
+
+// fixed wraps a built-in that takes exactly n arguments.
+func fixed(n int, fn func(a []Value) (Value, error)) mathFn {
+	return func(f *frame, args []Value) (Value, error) {
+		if len(args) != n {
+			if n == 1 {
+				return Value{}, fmt.Errorf("want 1 argument")
+			}
+			return Value{}, fmt.Errorf("want %d arguments", n)
+		}
+		return fn(args)
+	}
+}
 
 // laneUnary lifts a float function lane-wise.
-func laneUnary(f func(float64) float64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		return mapLanes1(args[0], f), nil
-	}
+func laneUnary(fn func(float64) float64) mathFn {
+	return fixed(1, func(a []Value) (Value, error) { return mapLanes1(a[0], fn), nil })
 }
 
-func laneBinary(f func(a, b float64) float64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		return mapLanes2(args[0], args[1], f), nil
-	}
+func laneBinary(fn func(a, b float64) float64) mathFn {
+	return fixed(2, func(a []Value) (Value, error) { return mapLanes2(a[0], a[1], fn), nil })
 }
 
-func laneTernary(f func(a, b, x float64) float64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		return mapLanes3(args[0], args[1], args[2], f), nil
-	}
+func laneTernary(fn func(a, b, x float64) float64) mathFn {
+	return fixed(3, func(a []Value) (Value, error) { return mapLanes3(a[0], a[1], a[2], fn), nil })
 }
 
-func mapLanes1(v Value, f func(float64) float64) Value {
+// setFloatLane stores a float result in lane l, rounded to single
+// precision for float.
+func (v *Value) setFloatLane(l int, r float64) {
+	if v.Kind == clc.Float {
+		r = float64(float32(r))
+	}
+	v.set(l, int64(clampToInt64(r)), r)
+}
+
+func mapLanes1(v Value, fn func(float64) float64) Value {
 	w := max(v.Width, 1)
-	kind := floatKindFor(v.Kind)
-	out := Value{Kind: kind, Width: w}
+	out := newValue(floatKindFor(v.Kind), w)
 	for l := 0; l < w; l++ {
-		r := f(v.Lane(l).Float())
-		if kind == clc.Float {
-			r = float64(float32(r))
-		}
-		out.F[l] = r
-		out.I[l] = int64(clampToInt64(r))
+		out.setFloatLane(l, fn(v.Lane(l).Float()))
 	}
 	return out
 }
 
-func mapLanes2(a, b Value, f func(x, y float64) float64) Value {
+func mapLanes2(a, b Value, fn func(x, y float64) float64) Value {
 	kind, w := promote(a, b)
 	kind = floatKindFor(kind)
 	av, bv := widen(a, kind, w), widen(b, kind, w)
-	out := Value{Kind: kind, Width: w}
+	out := newValue(kind, w)
 	for l := 0; l < w; l++ {
-		r := f(av.F[l], bv.F[l])
-		if kind == clc.Float {
-			r = float64(float32(r))
-		}
-		out.F[l] = r
-		out.I[l] = int64(clampToInt64(r))
+		out.setFloatLane(l, fn(av.lf(l), bv.lf(l)))
 	}
 	return out
 }
 
-func mapLanes3(a, b, x Value, f func(p, q, r float64) float64) Value {
+func mapLanes3(a, b, x Value, fn func(p, q, r float64) float64) Value {
 	kind, w := promote(a, b)
-	k2, w2 := promote(x, Value{Kind: kind, Width: w})
-	kind, w = k2, w2
+	kind, w = promote(x, Value{Kind: kind, Width: w})
 	kind = floatKindFor(kind)
 	av, bv, xv := widen(a, kind, w), widen(b, kind, w), widen(x, kind, w)
-	out := Value{Kind: kind, Width: w}
+	out := newValue(kind, w)
 	for l := 0; l < w; l++ {
-		r := f(av.F[l], bv.F[l], xv.F[l])
-		if kind == clc.Float {
-			r = float64(float32(r))
-		}
-		out.F[l] = r
-		out.I[l] = int64(clampToInt64(r))
+		out.setFloatLane(l, fn(av.lf(l), bv.lf(l), xv.lf(l)))
 	}
 	return out
 }
@@ -391,20 +386,62 @@ func floatKindFor(k clc.ScalarKind) clc.ScalarKind {
 	return clc.Float
 }
 
-// intPreserving applies an integer function lane-wise, keeping the input
-// kind (used by min/max/clamp/abs families on integer inputs).
-func intLaneBinary(f func(a, b int64) int64) func(a, b Value) Value {
+// intLaneBinary applies an integer function lane-wise at the promoted
+// kind (used by the integer built-ins).
+func intLaneBinary(fn func(a, b int64) int64) func(a, b Value) Value {
 	return func(a, b Value) Value {
 		kind, w := promote(a, b)
 		av, bv := widen(a, kind, w), widen(b, kind, w)
-		out := Value{Kind: kind, Width: w}
+		out := newValue(kind, w)
 		for l := 0; l < w; l++ {
-			out.I[l] = truncInt(kind, f(av.I[l], bv.I[l]))
-			out.F[l] = float64(out.I[l])
+			i := truncInt(kind, fn(av.li(l), bv.li(l)))
+			out.set(l, i, float64(i))
 		}
 		return out
 	}
 }
+
+// minMax is the integer-aware min (isMax false) or max of two values.
+func minMax(a, b Value, isMax bool) Value {
+	kind, w := promote(a, b)
+	av, bv := widen(a, kind, w), widen(b, kind, w)
+	out := newValue(kind, w)
+	for l := 0; l < w; l++ {
+		ai, bi, af, bf := av.li(l), bv.li(l), av.lf(l), bv.lf(l)
+		var takeB bool
+		if kind.IsFloat() {
+			takeB = bf > af == isMax && bf != af
+		} else if kind.IsUnsigned() {
+			takeB = (uint64(bi) > uint64(ai)) == isMax && bi != ai
+		} else {
+			takeB = (bi > ai) == isMax && bi != ai
+		}
+		if takeB {
+			out.set(l, bi, bf)
+		} else {
+			out.set(l, ai, af)
+		}
+	}
+	return out
+}
+
+// length is the Euclidean length of a vector (or |x| of a scalar).
+func length(v Value) Value {
+	var s float64
+	for l := 0; l < max(v.Width, 1); l++ {
+		x := v.Lane(l).Float()
+		s += x * x
+	}
+	return FloatValue(floatKindFor(v.Kind), math.Sqrt(s))
+}
+
+var (
+	mul24 = intLaneBinary(func(a, b int64) int64 { return (a & 0xFFFFFF) * (b & 0xFFFFFF) })
+	mulHi = intLaneBinary(func(a, b int64) int64 {
+		hi, _ := bits.Mul64(uint64(a), uint64(b))
+		return int64(hi)
+	})
+)
 
 var mathBuiltins map[string]mathFn
 
@@ -502,36 +539,25 @@ func init() {
 	mathBuiltins["max"] = genMinMax(true)
 	mathBuiltins["fmin"] = laneBinary(math.Min)
 	mathBuiltins["fmax"] = laneBinary(math.Max)
-	mathBuiltins["clamp"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		lo, err := mathBuiltins["max"](c, []Value{args[0], args[1]})
-		if err != nil {
-			return Value{}, err
-		}
-		return mathBuiltins["min"](c, []Value{lo, args[2]})
-	}
-	mathBuiltins["abs"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
+	mathBuiltins["clamp"] = fixed(3, func(a []Value) (Value, error) {
+		return minMax(minMax(a[0], a[1], true), a[2], false), nil
+	})
+	mathBuiltins["abs"] = fixed(1, func(a []Value) (Value, error) {
+		v := a[0]
 		if v.Kind.IsFloat() {
 			return mapLanes1(v, math.Abs), nil
 		}
 		w := max(v.Width, 1)
-		out := Value{Kind: v.Kind, Width: w}
+		out := newValue(v.Kind, w)
 		for l := 0; l < w; l++ {
-			a := v.I[l]
+			a := v.li(l)
 			if a < 0 {
 				a = -a
 			}
-			out.I[l] = a
-			out.F[l] = float64(a)
+			out.set(l, a, float64(a))
 		}
 		return out, nil
-	}
+	})
 	mathBuiltins["abs_diff"] = wrapIntBinary(func(a, b int64) int64 {
 		if a > b {
 			return a - b
@@ -542,115 +568,66 @@ func init() {
 	mathBuiltins["sub_sat"] = wrapIntBinary(func(a, b int64) int64 { return a - b })
 	mathBuiltins["hadd"] = wrapIntBinary(func(a, b int64) int64 { return (a + b) >> 1 })
 	mathBuiltins["rhadd"] = wrapIntBinary(func(a, b int64) int64 { return (a + b + 1) >> 1 })
-	mathBuiltins["mul24"] = wrapIntBinary(func(a, b int64) int64 { return (a & 0xFFFFFF) * (b & 0xFFFFFF) })
-	mathBuiltins["mul_hi"] = wrapIntBinary(func(a, b int64) int64 {
-		hi, _ := bits.Mul64(uint64(a), uint64(b))
-		return int64(hi)
-	})
+	mathBuiltins["mul24"] = wrapBinary(mul24)
+	mathBuiltins["mul_hi"] = wrapBinary(mulHi)
 	mathBuiltins["rotate"] = wrapIntBinary(func(a, b int64) int64 {
 		return int64(bits.RotateLeft32(uint32(a), int(b)))
 	})
 	mathBuiltins["upsample"] = wrapIntBinary(func(a, b int64) int64 { return a<<16 | (b & 0xFFFF) })
-	mathBuiltins["mad24"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		m, err := mathBuiltins["mul24"](c, args[:2])
+	madWith := func(mul func(a, b Value) Value) mathFn {
+		return fixed(3, func(a []Value) (Value, error) { return binaryOp(clc.ADD, mul(a[0], a[1]), a[2]) })
+	}
+	mathBuiltins["mad24"] = madWith(mul24)
+	mathBuiltins["mad_hi"] = madWith(mulHi)
+	mathBuiltins["mad_sat"] = fixed(3, func(a []Value) (Value, error) {
+		m, err := binaryOp(clc.MUL, a[0], a[1])
 		if err != nil {
 			return Value{}, err
 		}
-		return binaryOp(clc.ADD, m, args[2])
-	}
-	mathBuiltins["mad_hi"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		m, err := mathBuiltins["mul_hi"](c, args[:2])
-		if err != nil {
-			return Value{}, err
-		}
-		return binaryOp(clc.ADD, m, args[2])
-	}
-	mathBuiltins["mad_sat"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
-		m, err := binaryOp(clc.MUL, args[0], args[1])
-		if err != nil {
-			return Value{}, err
-		}
-		return binaryOp(clc.ADD, m, args[2])
-	}
+		return binaryOp(clc.ADD, m, a[2])
+	})
 	mathBuiltins["popcount"] = wrapIntUnary(func(a int64) int64 { return int64(bits.OnesCount64(uint64(a))) })
 	mathBuiltins["clz"] = wrapIntUnary(func(a int64) int64 { return int64(bits.LeadingZeros32(uint32(a))) })
 	mathBuiltins["ctz"] = wrapIntUnary(func(a int64) int64 { return int64(bits.TrailingZeros32(uint32(a))) })
 
 	// Geometric.
-	mathBuiltins["dot"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
+	mathBuiltins["dot"] = fixed(2, func(args []Value) (Value, error) {
 		a, b := args[0], args[1]
-		w := max(a.Width, 1)
 		var s float64
-		for l := 0; l < w; l++ {
+		for l := 0; l < max(a.Width, 1); l++ {
 			s += a.Lane(l).Float() * b.Lane(l%max(b.Width, 1)).Float()
 		}
 		return FloatValue(floatKindFor(a.Kind), s), nil
-	}
-	mathBuiltins["length"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
-		var s float64
-		for l := 0; l < max(v.Width, 1); l++ {
-			f := v.Lane(l).Float()
-			s += f * f
-		}
-		return FloatValue(floatKindFor(v.Kind), math.Sqrt(s)), nil
-	}
+	})
+	mathBuiltins["length"] = fixed(1, func(a []Value) (Value, error) { return length(a[0]), nil })
 	mathBuiltins["fast_length"] = mathBuiltins["length"]
-	mathBuiltins["distance"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		d, err := binaryOp(clc.SUB, args[0], args[1])
+	mathBuiltins["distance"] = fixed(2, func(a []Value) (Value, error) {
+		d, err := binaryOp(clc.SUB, a[0], a[1])
 		if err != nil {
 			return Value{}, err
 		}
-		return mathBuiltins["length"](c, []Value{d})
-	}
+		return length(d), nil
+	})
 	mathBuiltins["fast_distance"] = mathBuiltins["distance"]
-	mathBuiltins["normalize"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		l, err := mathBuiltins["length"](c, args)
-		if err != nil {
-			return Value{}, err
-		}
+	mathBuiltins["normalize"] = fixed(1, func(a []Value) (Value, error) {
+		l := length(a[0])
 		if l.Float() == 0 {
-			return args[0], nil
+			return a[0], nil
 		}
-		return binaryOp(clc.DIV, args[0], l)
-	}
+		return binaryOp(clc.DIV, a[0], l)
+	})
 	mathBuiltins["fast_normalize"] = mathBuiltins["normalize"]
-	mathBuiltins["cross"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
+	mathBuiltins["cross"] = fixed(2, func(args []Value) (Value, error) {
 		a, b := args[0], args[1]
-		kind := floatKindFor(a.Kind)
-		w := max(a.Width, 3)
-		out := Value{Kind: kind, Width: w}
-		ax, ay, az := a.Lane(0).Float(), a.Lane(1%a.Width).Float(), a.Lane(2%a.Width).Float()
+		out := newValue(floatKindFor(a.Kind), max(a.Width, 3))
+		ax, ay, az := a.Lane(0).Float(), a.Lane(1%max(a.Width, 1)).Float(), a.Lane(2%max(a.Width, 1)).Float()
 		bx, by, bz := b.Lane(0).Float(), b.Lane(1%max(b.Width, 1)).Float(), b.Lane(2%max(b.Width, 1)).Float()
-		out.F[0] = ay*bz - az*by
-		out.F[1] = az*bx - ax*bz
-		out.F[2] = ax*by - ay*bx
+		// Only the float lanes are written; the integer lanes stay zero.
+		out.vec.f[0] = ay*bz - az*by
+		out.vec.f[1] = az*bx - ax*bz
+		out.vec.f[2] = ax*by - ay*bx
 		return out, nil
-	}
+	})
 
 	// Relational.
 	mathBuiltins["isnan"] = boolLaneUnary(math.IsNaN)
@@ -658,20 +635,17 @@ func init() {
 	mathBuiltins["isfinite"] = boolLaneUnary(func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) })
 	mathBuiltins["isnormal"] = boolLaneUnary(func(x float64) bool { return x != 0 && !math.IsInf(x, 0) && !math.IsNaN(x) })
 	mathBuiltins["signbit"] = boolLaneUnary(func(x float64) bool { return math.Signbit(x) })
-	cmp2 := func(f func(a, b float64) bool) mathFn {
-		return func(c *wiCtx, args []Value) (Value, error) {
-			if len(args) != 2 {
-				return Value{}, fmt.Errorf("want 2 arguments")
-			}
+	cmp2 := func(fn func(a, b float64) bool) mathFn {
+		return fixed(2, func(args []Value) (Value, error) {
 			kind, w := promote(args[0], args[1])
 			av, bv := widen(args[0], kind, w), widen(args[1], kind, w)
-			out := Value{Kind: clc.Int, Width: w}
+			out := newValue(clc.Int, w)
 			for l := 0; l < w; l++ {
-				out.I[l] = boolToInt(f(av.Lane(l).Float(), bv.Lane(l).Float()))
-				out.F[l] = float64(out.I[l])
+				r := boolToInt(fn(av.Lane(l).Float(), bv.Lane(l).Float()))
+				out.set(l, r, float64(r))
 			}
 			return out, nil
-		}
+		})
 	}
 	mathBuiltins["isequal"] = cmp2(func(a, b float64) bool { return a == b })
 	mathBuiltins["isnotequal"] = cmp2(func(a, b float64) bool { return a != b })
@@ -682,7 +656,7 @@ func init() {
 	mathBuiltins["islessgreater"] = cmp2(func(a, b float64) bool { return a != b })
 	mathBuiltins["isordered"] = cmp2(func(a, b float64) bool { return !math.IsNaN(a) && !math.IsNaN(b) })
 	mathBuiltins["isunordered"] = cmp2(func(a, b float64) bool { return math.IsNaN(a) || math.IsNaN(b) })
-	mathBuiltins["any"] = func(c *wiCtx, args []Value) (Value, error) {
+	mathBuiltins["any"] = func(f *frame, args []Value) (Value, error) {
 		v := args[0]
 		for l := 0; l < max(v.Width, 1); l++ {
 			if v.Lane(l).Bool() {
@@ -691,7 +665,7 @@ func init() {
 		}
 		return IntValue(clc.Int, 0), nil
 	}
-	mathBuiltins["all"] = func(c *wiCtx, args []Value) (Value, error) {
+	mathBuiltins["all"] = func(f *frame, args []Value) (Value, error) {
 		v := args[0]
 		for l := 0; l < max(v.Width, 1); l++ {
 			if !v.Lane(l).Bool() {
@@ -700,75 +674,63 @@ func init() {
 		}
 		return IntValue(clc.Int, 1), nil
 	}
-	mathBuiltins["select"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
+	mathBuiltins["select"] = fixed(3, func(args []Value) (Value, error) {
 		a, b, sel := args[0], args[1], args[2]
 		kind, w := promote(a, b)
 		av, bv := widen(a, kind, w), widen(b, kind, w)
 		sv := widen(sel, sel.Kind, w)
-		out := Value{Kind: kind, Width: w}
+		out := newValue(kind, w)
 		for l := 0; l < w; l++ {
-			src := av
+			src := &av
 			if sv.Lane(l).Bool() {
-				src = bv
+				src = &bv
 			}
-			out.I[l], out.F[l] = src.I[l], src.F[l]
+			out.set(l, src.li(l), src.lf(l))
 		}
 		return out, nil
-	}
-	mathBuiltins["bitselect"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
+	})
+	mathBuiltins["bitselect"] = fixed(3, func(args []Value) (Value, error) {
 		a, b, m := args[0], args[1], args[2]
 		kind, w := promote(a, b)
 		av, bv, mv := widen(a, kind, w), widen(b, kind, w), widen(m, kind, w)
-		out := Value{Kind: kind, Width: w}
+		out := newValue(kind, w)
 		for l := 0; l < w; l++ {
-			out.I[l] = (av.I[l] &^ mv.I[l]) | (bv.I[l] & mv.I[l])
-			out.F[l] = float64(out.I[l])
+			i := (av.li(l) &^ mv.li(l)) | (bv.li(l) & mv.li(l))
+			out.set(l, i, float64(i))
 		}
 		return out, nil
-	}
-	mathBuiltins["shuffle"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
+	})
+	mathBuiltins["shuffle"] = fixed(2, func(args []Value) (Value, error) {
 		src, mask := args[0], args[1]
 		w := max(mask.Width, 1)
-		out := Value{Kind: src.Kind, Width: w}
+		out := newValue(src.Kind, w)
 		for l := 0; l < w; l++ {
-			idx := int(mask.I[l]) % max(src.Width, 1)
+			idx := int(mask.li(l)) % max(src.Width, 1)
 			if idx < 0 {
 				idx = 0
 			}
-			out.I[l], out.F[l] = src.I[idx], src.F[idx]
+			out.set(l, src.li(idx), src.lf(idx))
 		}
 		return out, nil
-	}
-	mathBuiltins["shuffle2"] = func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 3 {
-			return Value{}, fmt.Errorf("want 3 arguments")
-		}
+	})
+	mathBuiltins["shuffle2"] = fixed(3, func(args []Value) (Value, error) {
 		a, b, mask := args[0], args[1], args[2]
 		wa := max(a.Width, 1)
 		w := max(mask.Width, 1)
-		out := Value{Kind: a.Kind, Width: w}
+		out := newValue(a.Kind, w)
 		for l := 0; l < w; l++ {
-			idx := int(mask.I[l]) % (wa * 2)
+			idx := int(mask.li(l)) % (wa * 2)
 			if idx < 0 {
 				idx = 0
 			}
 			if idx < wa {
-				out.I[l], out.F[l] = a.I[idx], a.F[idx]
+				out.set(l, a.li(idx), a.lf(idx))
 			} else {
-				out.I[l], out.F[l] = b.I[idx-wa], b.F[idx-wa]
+				out.set(l, b.li(idx-wa), b.lf(idx-wa))
 			}
 		}
 		return out, nil
-	}
+	})
 
 	// Pointer-out-parameter functions.
 	mathBuiltins["fract"] = ptrOutBinary(func(x float64) (float64, float64) {
@@ -787,7 +749,7 @@ func init() {
 		fr, e := math.Frexp(x)
 		return fr, float64(e)
 	})
-	mathBuiltins["remquo"] = func(c *wiCtx, args []Value) (Value, error) {
+	mathBuiltins["remquo"] = func(f *frame, args []Value) (Value, error) {
 		if len(args) != 3 || !args[2].IsPointer() {
 			return Value{}, fmt.Errorf("remquo(x, y, ptr)")
 		}
@@ -827,77 +789,43 @@ func signOf(x float64) float64 {
 }
 
 func genMinMax(isMax bool) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		a, b := args[0], args[1]
-		kind, w := promote(a, b)
-		av, bv := widen(a, kind, w), widen(b, kind, w)
-		out := Value{Kind: kind, Width: w}
-		for l := 0; l < w; l++ {
-			var takeB bool
-			if kind.IsFloat() {
-				takeB = bv.F[l] > av.F[l] == isMax && bv.F[l] != av.F[l]
-			} else if kind.IsUnsigned() {
-				takeB = (uint64(bv.I[l]) > uint64(av.I[l])) == isMax && bv.I[l] != av.I[l]
-			} else {
-				takeB = (bv.I[l] > av.I[l]) == isMax && bv.I[l] != av.I[l]
-			}
-			src := av
-			if takeB {
-				src = bv
-			}
-			out.I[l], out.F[l] = src.I[l], src.F[l]
-		}
-		return out, nil
-	}
+	return fixed(2, func(a []Value) (Value, error) { return minMax(a[0], a[1], isMax), nil })
 }
 
-func wrapIntBinary(f func(a, b int64) int64) mathFn {
-	g := intLaneBinary(f)
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 2 {
-			return Value{}, fmt.Errorf("want 2 arguments")
-		}
-		return g(args[0], args[1]), nil
-	}
+func wrapBinary(fn func(a, b Value) Value) mathFn {
+	return fixed(2, func(a []Value) (Value, error) { return fn(a[0], a[1]), nil })
 }
 
-func wrapIntUnary(f func(a int64) int64) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
+func wrapIntBinary(fn func(a, b int64) int64) mathFn { return wrapBinary(intLaneBinary(fn)) }
+
+func wrapIntUnary(fn func(a int64) int64) mathFn {
+	return fixed(1, func(a []Value) (Value, error) {
+		v := a[0]
 		w := max(v.Width, 1)
-		out := Value{Kind: v.Kind, Width: w}
+		out := newValue(v.Kind, w)
 		for l := 0; l < w; l++ {
-			out.I[l] = truncInt(v.Kind, f(v.I[l]))
-			out.F[l] = float64(out.I[l])
+			i := truncInt(v.Kind, fn(v.li(l)))
+			out.set(l, i, float64(i))
 		}
 		return out, nil
-	}
+	})
 }
 
-func boolLaneUnary(f func(float64) bool) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
-		if len(args) != 1 {
-			return Value{}, fmt.Errorf("want 1 argument")
-		}
-		v := args[0]
+func boolLaneUnary(fn func(float64) bool) mathFn {
+	return fixed(1, func(a []Value) (Value, error) {
+		v := a[0]
 		w := max(v.Width, 1)
-		out := Value{Kind: clc.Int, Width: w}
+		out := newValue(clc.Int, w)
 		for l := 0; l < w; l++ {
-			out.I[l] = boolToInt(f(v.Lane(l).Float()))
-			out.F[l] = float64(out.I[l])
+			r := boolToInt(fn(v.Lane(l).Float()))
+			out.set(l, r, float64(r))
 		}
 		return out, nil
-	}
+	})
 }
 
-func ptrOutBinary(f func(x float64) (ret, out float64)) mathFn {
-	return func(c *wiCtx, args []Value) (Value, error) {
+func ptrOutBinary(fn func(x float64) (ret, out float64)) mathFn {
+	return func(f *frame, args []Value) (Value, error) {
 		if len(args) != 2 || !args[1].IsPointer() {
 			return Value{}, fmt.Errorf("want (value, pointer)")
 		}
@@ -905,17 +833,16 @@ func ptrOutBinary(f func(x float64) (ret, out float64)) mathFn {
 		p := args[1].Ptr
 		w := max(v.Width, 1)
 		kind := floatKindFor(v.Kind)
-		out := Value{Kind: kind, Width: w}
+		out := newValue(kind, w)
 		for l := 0; l < w; l++ {
-			r, o := f(v.Lane(l).Float())
-			out.F[l] = r
-			out.I[l] = int64(clampToInt64(r))
+			r, o := fn(v.Lane(l).Float())
+			out.set(l, int64(clampToInt64(r)), r)
 			co := ConvertScalar(FloatValue(kind, o), p.Buf.Kind)
-			if err := p.Buf.storeScalar(p.Off+int64(l), co.I[0], co.F[0]); err != nil {
+			if err := p.Buf.storeScalar(p.Off+int64(l), co.i, co.f); err != nil {
 				return Value{}, err
 			}
 		}
-		c.countMem(p.Buf.Space, w, true)
+		f.countMem(p.Buf.Space, w, true)
 		return out, nil
 	}
 }

@@ -23,6 +23,11 @@ type Profile struct {
 	Branches     int64
 	Barriers     int64
 	Atomics      int64
+	// Steps is the number of steps the launch charged against its
+	// MaxSteps budget: one per statement and expression evaluated, plus
+	// one per loop iteration. A launch that ran out of budget reports the
+	// charge that tripped the limit too.
+	Steps int64
 }
 
 // Add accumulates o into p.
@@ -38,6 +43,7 @@ func (p *Profile) Add(o *Profile) {
 	p.Branches += o.Branches
 	p.Barriers += o.Barriers
 	p.Atomics += o.Atomics
+	p.Steps += o.Steps
 }
 
 // Scale multiplies every counter by f. Used to extrapolate a profile
@@ -56,6 +62,7 @@ func (p *Profile) Scale(f float64) {
 	p.Branches = int64(float64(p.Branches) * f)
 	p.Barriers = int64(float64(p.Barriers) * f)
 	p.Atomics = int64(float64(p.Atomics) * f)
+	p.Steps = int64(float64(p.Steps) * f)
 }
 
 // GlobalMemOps returns total global memory operations.
@@ -67,31 +74,34 @@ func (p *Profile) LocalMemOps() int64 { return p.LocalLoads + p.LocalStores }
 // ComputeOps returns total arithmetic operations.
 func (p *Profile) ComputeOps() int64 { return p.IntOps + p.FloatOps }
 
-// Env is a prepared translation unit: functions resolved, file-scope
-// constants evaluated. An Env is immutable after construction and safe to
-// reuse across runs.
+// Env is a prepared translation unit: file-scope constants evaluated and
+// every function body compiled. An Env is immutable after construction
+// and safe to reuse across runs.
 type Env struct {
 	File    *clc.File
-	funcs   map[string]*clc.FuncDecl
+	funcs   map[string]*function
 	globals map[string]Value
 	consts  map[string]*Buffer // __constant / file-scope arrays
 	// usesBarrier records, per function, whether its call graph can reach a
 	// barrier; kernels that cannot take the fast sequential path.
 	usesBarrier map[string]bool
+	// nGroupLocals counts the __local arrays declared in function bodies;
+	// each work-group allocates them once.
+	nGroupLocals int
 }
 
 // NewEnv prepares a checked file for execution.
 func NewEnv(f *clc.File) (*Env, error) {
 	env := &Env{
 		File:        f,
-		funcs:       map[string]*clc.FuncDecl{},
+		funcs:       map[string]*function{},
 		globals:     map[string]Value{},
 		consts:      map[string]*Buffer{},
 		usesBarrier: map[string]bool{},
 	}
 	for _, fd := range f.Functions() {
 		if fd.Body != nil {
-			env.funcs[fd.Name] = fd
+			env.funcs[fd.Name] = &function{decl: fd}
 		}
 	}
 	for _, d := range f.Decls {
@@ -103,8 +113,9 @@ func NewEnv(f *clc.File) (*Env, error) {
 			return nil, err
 		}
 	}
-	for name := range env.funcs {
+	for name, fn := range env.funcs {
 		env.usesBarrier[name] = env.reachesBarrier(name, map[string]bool{})
+		env.compileFunction(fn)
 	}
 	return env, nil
 }
@@ -113,8 +124,15 @@ func (env *Env) initGlobal(vd *clc.VarDecl) error {
 	if at, ok := vd.Type.(*clc.ArrayType); ok {
 		buf := NewBuffer(elemKind(at), int(scalarSlots(at)), vd.Space)
 		if il, ok := vd.Init.(*clc.InitList); ok {
-			if err := fillBufferFromInitList(buf, il, 0); err != nil {
-				return fmt.Errorf("initializing %s: %w", vd.Name, err)
+			for _, e := range flattenInit(il, 0, nil) {
+				v, err := evalConstExpr(e.x, nil)
+				if err == nil {
+					c := ConvertScalar(v, buf.Kind)
+					err = buf.storeScalar(e.pos, c.i, c.f)
+				}
+				if err != nil {
+					return fmt.Errorf("initializing %s: %w", vd.Name, err)
+				}
 			}
 		}
 		env.consts[vd.Name] = buf
@@ -150,40 +168,26 @@ func elemKind(t clc.Type) clc.ScalarKind {
 	return clc.Int
 }
 
-func fillBufferFromInitList(buf *Buffer, il *clc.InitList, off int64) error {
-	pos := off
-	for _, e := range il.Elems {
-		if nested, ok := e.(*clc.InitList); ok {
-			if err := fillBufferFromInitList(buf, nested, pos); err != nil {
-				return err
-			}
-			// Advance by the nested element count (flattened).
-			pos += int64(countInitScalars(nested))
-			continue
-		}
-		v, err := evalConstExpr(e, nil)
-		if err != nil {
-			return err
-		}
-		c := ConvertScalar(v, buf.Kind)
-		if err := buf.storeScalar(pos, c.I[0], c.F[0]); err != nil {
-			return err
-		}
-		pos++
-	}
-	return nil
+// initElem is one scalar of a brace initializer at its flattened slot.
+type initElem struct {
+	pos int64
+	x   clc.Expr
 }
 
-func countInitScalars(il *clc.InitList) int {
-	n := 0
+// flattenInit lists the scalars of a (nested) brace initializer in order,
+// numbering slots from pos.
+func flattenInit(il *clc.InitList, pos int64, out []initElem) []initElem {
 	for _, e := range il.Elems {
 		if nested, ok := e.(*clc.InitList); ok {
-			n += countInitScalars(nested)
-		} else {
-			n++
+			n := len(out)
+			out = flattenInit(nested, pos, out)
+			pos += int64(len(out) - n)
+			continue
 		}
+		out = append(out, initElem{pos, e})
+		pos++
 	}
-	return n
+	return out
 }
 
 // evalConstExpr evaluates file-scope constant initializers: literals,
@@ -242,12 +246,12 @@ func (env *Env) reachesBarrier(fn string, visiting map[string]bool) bool {
 		return false
 	}
 	visiting[fn] = true
-	fd, ok := env.funcs[fn]
+	f, ok := env.funcs[fn]
 	if !ok {
 		return false
 	}
 	found := false
-	clc.Walk(fd.Body, func(n clc.Node) bool {
+	clc.Walk(f.decl.Body, func(n clc.Node) bool {
 		if found {
 			return false
 		}
@@ -268,22 +272,11 @@ func (env *Env) reachesBarrier(fn string, visiting map[string]bool) bool {
 
 // Kernel returns the kernel declaration with the given name, or an error.
 func (env *Env) Kernel(name string) (*clc.FuncDecl, error) {
-	fd, ok := env.funcs[name]
-	if !ok || !fd.IsKernel {
+	f, ok := env.funcs[name]
+	if !ok || !f.decl.IsKernel {
 		return nil, fmt.Errorf("interp: no kernel %q", name)
 	}
-	return fd, nil
-}
-
-// Kernels lists the kernel names in declaration order.
-func (env *Env) Kernels() []string {
-	var names []string
-	for _, fd := range env.File.Kernels() {
-		if fd.Body != nil {
-			names = append(names, fd.Name)
-		}
-	}
-	return names
+	return f.decl, nil
 }
 
 // Errors reported by kernel execution.

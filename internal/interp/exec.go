@@ -7,6 +7,21 @@ import (
 	"clgen/internal/clc"
 )
 
+// The interpreter compiles each function body once, when the Env is
+// built, into a tree of Go closures: statements become stmtFn and
+// expressions exprFn. Everything that does not depend on run-time values
+// is settled at compile time: each local variable becomes an index into
+// the frame's slots, file-scope names become constants, built-ins are
+// resolved to their implementations, and swizzle lanes and compound
+// operators are looked up once.
+//
+// Every statement and every expression evaluation charges one step of
+// the launch's budget on entry, and each loop iteration charges one more;
+// lvalue and address-of resolution charge nothing themselves. Operands
+// are evaluated, profile counters bumped and errors raised in one fixed
+// order, so a launch that runs out of budget stops at a well-defined
+// point with a well-defined partial profile.
+
 // errCancelled unwinds work-item goroutines after another item failed.
 var errCancelled = errors.New("interp: cancelled")
 
@@ -20,16 +35,23 @@ const (
 	ctrlReturn
 )
 
-// slot is the storage of one variable.
+type (
+	stmtFn func(f *frame) (ctrl, error)
+	exprFn func(f *frame) (Value, error)
+	lvalFn func(f *frame) (location, error)
+)
+
+// slot is the storage of one variable. An array variable, or a scalar
+// whose address was taken, lives in a buffer; its val is then the pointer
+// to the buffer's first element.
 type slot struct {
-	val Value
-	buf *Buffer        // non-nil for array variables
-	arr *clc.ArrayType // declared array type when buf != nil
+	val   Value
+	array bool
 }
 
-// wiCtx is the execution context of a single work-item.
-type wiCtx struct {
-	env    *Env
+// frame is the execution state of one work-item: its ids, the launch's
+// shared counters, and the slots of the function it is running.
+type frame struct {
 	gid    [3]int64 // global id
 	lid    [3]int64 // local id
 	grp    [3]int64 // group id
@@ -41,46 +63,34 @@ type wiCtx struct {
 	yield  func() error // barrier handoff; nil on the fast path
 	cancel *bool
 
-	// groupLocals holds per-work-group storage for __local arrays declared
-	// in kernel bodies; all work-items of a group share the same map.
-	groupLocals map[*clc.VarDecl]*slot
+	// groupLocals holds the work-group's __local arrays declared in
+	// function bodies, indexed by their compile-time group-local index;
+	// all work-items of a group share it.
+	groupLocals []*Buffer
 
-	scopes []map[string]*slot
+	slots  []slot // the running function's variables
+	stack  []slot // backing store for the slots of nested calls
+	sp     int
+	argv   []Value // argument stack of calls being set up
 	retVal Value
 	depth  int
 }
 
 const maxCallDepth = 64
 
-func (c *wiCtx) pushScope() { c.scopes = append(c.scopes, map[string]*slot{}) }
-func (c *wiCtx) popScope()  { c.scopes = c.scopes[:len(c.scopes)-1] }
-
-func (c *wiCtx) lookup(name string) (*slot, bool) {
-	for i := len(c.scopes) - 1; i >= 0; i-- {
-		if s, ok := c.scopes[i][name]; ok {
-			return s, true
-		}
-	}
-	return nil, false
-}
-
-func (c *wiCtx) declare(name string, s *slot) {
-	c.scopes[len(c.scopes)-1][name] = s
-}
-
-func (c *wiCtx) step() error {
-	*c.budget--
-	if *c.budget < 0 {
+func (f *frame) step() error {
+	*f.budget--
+	if *f.budget < 0 {
 		return ErrStepLimit
 	}
-	if c.cancel != nil && *c.cancel {
+	if f.cancel != nil && *f.cancel {
 		return errCancelled
 	}
 	return nil
 }
 
 // countMem records a memory access against the profile.
-func (c *wiCtx) countMem(space clc.AddrSpace, width int, store bool) {
+func (f *frame) countMem(space clc.AddrSpace, width int, store bool) {
 	if width < 1 {
 		width = 1
 	}
@@ -88,44 +98,57 @@ func (c *wiCtx) countMem(space clc.AddrSpace, width int, store bool) {
 	switch space {
 	case clc.Global, clc.Constant:
 		if store {
-			c.prof.GlobalStores += n
+			f.prof.GlobalStores += n
 		} else {
-			c.prof.GlobalLoads += n
+			f.prof.GlobalLoads += n
 		}
 	case clc.Local:
 		if store {
-			c.prof.LocalStores += n
+			f.prof.LocalStores += n
 		} else {
-			c.prof.LocalLoads += n
+			f.prof.LocalLoads += n
 		}
 	default:
-		c.prof.PrivateOps += n
+		f.prof.PrivateOps += n
 	}
 }
 
-func (c *wiCtx) countArith(kind clc.ScalarKind, width int) {
+func (f *frame) countArith(kind clc.ScalarKind, width int) {
 	if width < 1 {
 		width = 1
 	}
 	if kind.IsFloat() {
-		c.prof.FloatOps += int64(width)
+		f.prof.FloatOps += int64(width)
 	} else {
-		c.prof.IntOps += int64(width)
+		f.prof.IntOps += int64(width)
 	}
 }
 
-// runFunction executes fd with the given argument values.
-func (c *wiCtx) runFunction(fd *clc.FuncDecl, args []Value) (Value, error) {
-	if c.depth >= maxCallDepth {
+// function is one compiled function body.
+type function struct {
+	decl   *clc.FuncDecl
+	nslots int    // parameters first, then every local declaration
+	body   stmtFn // the body block, run without a step of its own
+}
+
+// call runs fn with the given argument values in a fresh set of slots.
+func (f *frame) call(fn *function, args []Value) (Value, error) {
+	fd := fn.decl
+	if f.depth >= maxCallDepth {
 		return Value{}, fmt.Errorf("interp: call depth limit in %q", fd.Name)
 	}
-	c.depth++
-	saved := c.scopes
-	c.scopes = nil
-	c.pushScope()
+	f.depth++
+	saved, savedSP := f.slots, f.sp
+	if f.sp+fn.nslots > len(f.stack) {
+		// Callers keep their slices of the old stack.
+		f.stack = make([]slot, 2*(f.sp+fn.nslots))
+	}
+	f.slots = f.stack[f.sp : f.sp+fn.nslots : f.sp+fn.nslots]
+	f.sp += fn.nslots
+	clear(f.slots)
 	defer func() {
-		c.scopes = saved
-		c.depth--
+		f.slots, f.sp = saved, savedSP
+		f.depth--
 	}()
 	if len(args) != len(fd.Params) {
 		return Value{}, fmt.Errorf("interp: %q called with %d args, want %d", fd.Name, len(args), len(fd.Params))
@@ -139,300 +162,402 @@ func (c *wiCtx) runFunction(fd *clc.FuncDecl, args []Value) (Value, error) {
 			}
 			v = conv
 		}
-		c.declare(p.Name, &slot{val: v})
+		f.slots[i] = slot{val: v}
 	}
-	c.retVal = Value{}
-	ct, err := c.execBlock(fd.Body)
+	f.retVal = Value{}
+	ct, err := fn.body(f)
 	if err != nil {
 		return Value{}, err
 	}
 	if ct == ctrlReturn {
-		return c.retVal, nil
+		return f.retVal, nil
 	}
 	return Value{}, nil
 }
 
-func (c *wiCtx) execBlock(b *clc.BlockStmt) (ctrl, error) {
-	c.pushScope()
-	defer c.popScope()
-	for _, s := range b.Stmts {
-		ct, err := c.execStmt(s)
-		if err != nil || ct != ctrlNone {
-			return ct, err
+// evalArgs evaluates args onto the frame's argument stack and returns
+// them; the caller pops them by truncating f.argv to its length before
+// the call.
+func (f *frame) evalArgs(args []exprFn) ([]Value, error) {
+	base := len(f.argv)
+	for _, a := range args {
+		v, err := a(f)
+		if err != nil {
+			f.argv = f.argv[:base]
+			return nil, err
 		}
+		f.argv = append(f.argv, v)
 	}
-	return ctrlNone, nil
+	return f.argv[base:len(f.argv):len(f.argv)], nil
 }
 
-func (c *wiCtx) execStmt(s clc.Stmt) (ctrl, error) {
-	if err := c.step(); err != nil {
-		return ctrlNone, err
+// compiler lowers one function body. Scopes map names to slot indices
+// while the body is walked in source order, so each use resolves to the
+// declaration that is in scope at that point.
+type compiler struct {
+	env    *Env
+	scopes []map[string]int
+	nslots int
+}
+
+func (c *compiler) push() { c.scopes = append(c.scopes, map[string]int{}) }
+func (c *compiler) pop()  { c.scopes = c.scopes[:len(c.scopes)-1] }
+
+func (c *compiler) declare(name string) int {
+	idx := c.nslots
+	c.nslots++
+	c.scopes[len(c.scopes)-1][name] = idx
+	return idx
+}
+
+func (c *compiler) lookup(name string) (int, bool) {
+	for i := len(c.scopes) - 1; i >= 0; i-- {
+		if idx, ok := c.scopes[i][name]; ok {
+			return idx, true
+		}
 	}
-	switch x := s.(type) {
-	case *clc.BlockStmt:
-		return c.execBlock(x)
-	case *clc.EmptyStmt:
-		return ctrlNone, nil
-	case *clc.DeclStmt:
-		for _, d := range x.Decls {
-			if err := c.execDecl(d); err != nil {
-				return ctrlNone, err
+	return 0, false
+}
+
+// compileFunction fills in fn's body; every function of the Env exists
+// (bodiless) before any is compiled, so calls resolve even when recursive.
+func (env *Env) compileFunction(fn *function) {
+	c := &compiler{env: env}
+	c.push()
+	for _, p := range fn.decl.Params {
+		c.declare(p.Name)
+	}
+	fn.body = c.block(fn.decl.Body)
+	fn.nslots = c.nslots
+}
+
+// block compiles the statements of b in a new scope; the result charges
+// no step of its own.
+func (c *compiler) block(b *clc.BlockStmt) stmtFn {
+	c.push()
+	stmts := make([]stmtFn, len(b.Stmts))
+	for i, s := range b.Stmts {
+		stmts[i] = c.stmt(s)
+	}
+	c.pop()
+	return func(f *frame) (ctrl, error) {
+		for _, s := range stmts {
+			ct, err := s(f)
+			if err != nil || ct != ctrlNone {
+				return ct, err
 			}
 		}
 		return ctrlNone, nil
-	case *clc.ExprStmt:
-		_, err := c.evalExpr(x.X)
-		return ctrlNone, err
-	case *clc.IfStmt:
-		cond, err := c.evalExpr(x.Cond)
-		if err != nil {
+	}
+}
+
+// stepped wraps a statement body with the step every statement charges.
+func stepped(body stmtFn) stmtFn {
+	return func(f *frame) (ctrl, error) {
+		if err := f.step(); err != nil {
 			return ctrlNone, err
 		}
-		c.prof.Branches++
-		if cond.Bool() {
-			return c.execStmt(x.Then)
+		return body(f)
+	}
+}
+
+func (c *compiler) stmt(s clc.Stmt) stmtFn {
+	switch x := s.(type) {
+	case *clc.BlockStmt:
+		return stepped(c.block(x))
+	case *clc.EmptyStmt:
+		return stepped(func(f *frame) (ctrl, error) { return ctrlNone, nil })
+	case *clc.DeclStmt:
+		decls := make([]func(*frame) error, len(x.Decls))
+		for i, d := range x.Decls {
+			decls[i] = c.decl(d)
 		}
+		return stepped(func(f *frame) (ctrl, error) {
+			for _, d := range decls {
+				if err := d(f); err != nil {
+					return ctrlNone, err
+				}
+			}
+			return ctrlNone, nil
+		})
+	case *clc.ExprStmt:
+		e := c.expr(x.X)
+		return stepped(func(f *frame) (ctrl, error) {
+			_, err := e(f)
+			return ctrlNone, err
+		})
+	case *clc.IfStmt:
+		cond, then := c.expr(x.Cond), c.stmt(x.Then)
+		var els stmtFn
 		if x.Else != nil {
-			return c.execStmt(x.Else)
+			els = c.stmt(x.Else)
 		}
-		return ctrlNone, nil
+		return stepped(func(f *frame) (ctrl, error) {
+			ok, err := f.branch(cond)
+			if err != nil {
+				return ctrlNone, err
+			}
+			if ok {
+				return then(f)
+			}
+			if els != nil {
+				return els(f)
+			}
+			return ctrlNone, nil
+		})
 	case *clc.ForStmt:
-		c.pushScope()
-		defer c.popScope()
-		if x.Init != nil {
-			if _, err := c.execStmt(x.Init); err != nil {
+		return stepped(c.forStmt(x))
+	case *clc.WhileStmt:
+		return stepped(loop(nil, c.expr(x.Cond), c.stmt(x.Body), nil, false))
+	case *clc.DoWhileStmt:
+		body := c.stmt(x.Body) // compiled before cond, in source order
+		return stepped(loop(nil, c.expr(x.Cond), body, nil, true))
+	case *clc.ReturnStmt:
+		if x.X == nil {
+			return stepped(func(f *frame) (ctrl, error) { return ctrlReturn, nil })
+		}
+		e := c.expr(x.X)
+		return stepped(func(f *frame) (ctrl, error) {
+			v, err := e(f)
+			if err != nil {
+				return ctrlNone, err
+			}
+			f.retVal = v
+			return ctrlReturn, nil
+		})
+	case *clc.BreakStmt:
+		return stepped(func(f *frame) (ctrl, error) { return ctrlBreak, nil })
+	case *clc.ContinueStmt:
+		return stepped(func(f *frame) (ctrl, error) { return ctrlContinue, nil })
+	case *clc.SwitchStmt:
+		return stepped(c.switchStmt(x))
+	}
+	err := fmt.Errorf("interp: unsupported statement %T", s)
+	return stepped(func(f *frame) (ctrl, error) { return ctrlNone, err })
+}
+
+func (c *compiler) forStmt(x *clc.ForStmt) stmtFn {
+	c.push()
+	defer c.pop()
+	var init stmtFn
+	if x.Init != nil {
+		init = c.stmt(x.Init)
+	}
+	var cond, post exprFn
+	if x.Cond != nil {
+		cond = c.expr(x.Cond)
+	}
+	body := c.stmt(x.Body)
+	if x.Post != nil {
+		post = c.expr(x.Post)
+	}
+	return loop(init, cond, body, post, false)
+}
+
+// loop runs a for, while or do-while loop; init, cond and post may be
+// nil. Each iteration charges a step, then tests cond before the body, or
+// after it when testAfter is set.
+func loop(init stmtFn, cond exprFn, body stmtFn, post exprFn, testAfter bool) stmtFn {
+	return func(f *frame) (ctrl, error) {
+		if init != nil {
+			if _, err := init(f); err != nil {
 				return ctrlNone, err
 			}
 		}
 		for {
-			if err := c.step(); err != nil {
+			if err := f.step(); err != nil {
 				return ctrlNone, err
 			}
-			if x.Cond != nil {
-				cond, err := c.evalExpr(x.Cond)
+			if cond != nil && !testAfter {
+				if ok, err := f.branch(cond); err != nil || !ok {
+					return ctrlNone, err
+				}
+			}
+			ct, err := body(f)
+			if err != nil {
+				return ctrlNone, err
+			}
+			if ct == ctrlBreak {
+				return ctrlNone, nil
+			}
+			if ct == ctrlReturn {
+				return ct, nil
+			}
+			if testAfter {
+				if ok, err := f.branch(cond); err != nil || !ok {
+					return ctrlNone, err
+				}
+			}
+			if post != nil {
+				if _, err := post(f); err != nil {
+					return ctrlNone, err
+				}
+			}
+		}
+	}
+}
+
+// branch evaluates a condition and counts the branch it decides.
+func (f *frame) branch(cond exprFn) (bool, error) {
+	v, err := cond(f)
+	if err != nil {
+		return false, err
+	}
+	f.prof.Branches++
+	return v.Bool(), nil
+}
+
+func (c *compiler) switchStmt(x *clc.SwitchStmt) stmtFn {
+	tag := c.expr(x.Tag)
+	values := make([]exprFn, len(x.Cases)) // nil for default
+	for i, cc := range x.Cases {
+		if cc.Value != nil {
+			values[i] = c.expr(cc.Value)
+		}
+	}
+	c.push()
+	bodies := make([][]stmtFn, len(x.Cases))
+	for i, cc := range x.Cases {
+		for _, st := range cc.Body {
+			bodies[i] = append(bodies[i], c.stmt(st))
+		}
+	}
+	c.pop()
+	return func(f *frame) (ctrl, error) {
+		tv, err := tag(f)
+		if err != nil {
+			return ctrlNone, err
+		}
+		f.prof.Branches++
+		matched, defaultIdx := -1, -1
+		for i, val := range values {
+			if val == nil {
+				defaultIdx = i
+				continue
+			}
+			v, err := val(f)
+			if err != nil {
+				return ctrlNone, err
+			}
+			if v.Int() == tv.Int() {
+				matched = i
+				break
+			}
+		}
+		if matched < 0 {
+			matched = defaultIdx
+		}
+		if matched < 0 {
+			return ctrlNone, nil
+		}
+		for _, body := range bodies[matched:] { // fallthrough semantics
+			for _, st := range body {
+				ct, err := st(f)
 				if err != nil {
 					return ctrlNone, err
 				}
-				c.prof.Branches++
-				if !cond.Bool() {
+				switch ct {
+				case ctrlBreak:
 					return ctrlNone, nil
-				}
-			}
-			ct, err := c.execStmt(x.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if ct == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if ct == ctrlReturn {
-				return ct, nil
-			}
-			if x.Post != nil {
-				if _, err := c.evalExpr(x.Post); err != nil {
-					return ctrlNone, err
+				case ctrlReturn, ctrlContinue:
+					return ct, nil
 				}
 			}
 		}
-	case *clc.WhileStmt:
-		for {
-			if err := c.step(); err != nil {
-				return ctrlNone, err
-			}
-			cond, err := c.evalExpr(x.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			c.prof.Branches++
-			if !cond.Bool() {
-				return ctrlNone, nil
-			}
-			ct, err := c.execStmt(x.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if ct == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if ct == ctrlReturn {
-				return ct, nil
-			}
-		}
-	case *clc.DoWhileStmt:
-		for {
-			if err := c.step(); err != nil {
-				return ctrlNone, err
-			}
-			ct, err := c.execStmt(x.Body)
-			if err != nil {
-				return ctrlNone, err
-			}
-			if ct == ctrlBreak {
-				return ctrlNone, nil
-			}
-			if ct == ctrlReturn {
-				return ct, nil
-			}
-			cond, err := c.evalExpr(x.Cond)
-			if err != nil {
-				return ctrlNone, err
-			}
-			c.prof.Branches++
-			if !cond.Bool() {
-				return ctrlNone, nil
-			}
-		}
-	case *clc.ReturnStmt:
-		if x.X != nil {
-			v, err := c.evalExpr(x.X)
-			if err != nil {
-				return ctrlNone, err
-			}
-			c.retVal = v
-		}
-		return ctrlReturn, nil
-	case *clc.BreakStmt:
-		return ctrlBreak, nil
-	case *clc.ContinueStmt:
-		return ctrlContinue, nil
-	case *clc.SwitchStmt:
-		return c.execSwitch(x)
-	}
-	return ctrlNone, fmt.Errorf("interp: unsupported statement %T", s)
-}
-
-func (c *wiCtx) execSwitch(x *clc.SwitchStmt) (ctrl, error) {
-	tag, err := c.evalExpr(x.Tag)
-	if err != nil {
-		return ctrlNone, err
-	}
-	c.prof.Branches++
-	matched := -1
-	defaultIdx := -1
-	for i, cc := range x.Cases {
-		if cc.Value == nil {
-			defaultIdx = i
-			continue
-		}
-		v, err := c.evalExpr(cc.Value)
-		if err != nil {
-			return ctrlNone, err
-		}
-		if v.Int() == tag.Int() {
-			matched = i
-			break
-		}
-	}
-	if matched < 0 {
-		matched = defaultIdx
-	}
-	if matched < 0 {
 		return ctrlNone, nil
 	}
-	c.pushScope()
-	defer c.popScope()
-	for i := matched; i < len(x.Cases); i++ { // fallthrough semantics
-		for _, st := range x.Cases[i].Body {
-			ct, err := c.execStmt(st)
-			if err != nil {
-				return ctrlNone, err
-			}
-			switch ct {
-			case ctrlBreak:
-				return ctrlNone, nil
-			case ctrlReturn, ctrlContinue:
-				return ct, nil
-			}
-		}
-	}
-	return ctrlNone, nil
 }
 
-func (c *wiCtx) execDecl(d *clc.VarDecl) error {
+// decl compiles one variable declaration. The initializer is compiled
+// before the name enters scope, so it sees any outer variable it shadows.
+func (c *compiler) decl(d *clc.VarDecl) func(*frame) error {
 	if at, ok := d.Type.(*clc.ArrayType); ok {
-		space := d.Space
-		if space == clc.Local && c.groupLocals != nil {
-			// __local arrays in kernel bodies are one allocation per
+		kind, n, space := elemKind(at), int(scalarSlots(at)), d.Space
+		if space == clc.Local {
+			// __local arrays in function bodies are one allocation per
 			// work-group, shared by all of its work-items.
-			s, ok := c.groupLocals[d]
-			if !ok {
-				s = &slot{buf: NewBuffer(elemKind(at), int(scalarSlots(at)), space), arr: at}
-				c.groupLocals[d] = s
+			gi := c.env.nGroupLocals
+			c.env.nGroupLocals++
+			idx := c.declare(d.Name)
+			return func(f *frame) error {
+				buf := f.groupLocals[gi]
+				if buf == nil {
+					buf = NewBuffer(kind, n, space)
+					f.groupLocals[gi] = buf
+				}
+				f.slots[idx] = slot{val: PtrValue(&Pointer{Buf: buf, Elem: at.Elem}), array: true}
+				return nil
 			}
-			c.declare(d.Name, s)
+		}
+		var inits []initElem
+		var xs []exprFn
+		if il, ok := d.Init.(*clc.InitList); ok {
+			inits = flattenInit(il, 0, nil)
+			for _, e := range inits {
+				xs = append(xs, c.expr(e.x))
+			}
+		}
+		idx := c.declare(d.Name)
+		return func(f *frame) error {
+			buf := NewBuffer(kind, n, space)
+			for i, e := range inits {
+				v, err := xs[i](f)
+				if err != nil {
+					return err
+				}
+				s := ConvertScalar(v, buf.Kind)
+				if err := buf.storeScalar(e.pos, s.i, s.f); err != nil {
+					return err
+				}
+			}
+			f.slots[idx] = slot{val: PtrValue(&Pointer{Buf: buf, Elem: at.Elem}), array: true}
 			return nil
 		}
-		buf := NewBuffer(elemKind(at), int(scalarSlots(at)), space)
-		if il, ok := d.Init.(*clc.InitList); ok {
-			if err := c.fillArray(buf, il, 0); err != nil {
+	}
+	zero := ZeroValue(d.Type)
+	var init exprFn
+	if d.Init != nil {
+		init = c.expr(d.Init)
+	}
+	idx := c.declare(d.Name)
+	return func(f *frame) error {
+		v := zero
+		if init != nil {
+			iv, err := init(f)
+			if err != nil {
 				return err
 			}
+			if v = iv; !iv.IsPointer() {
+				if v, err = Convert(iv, d.Type); err != nil {
+					return fmt.Errorf("interp: initializing %q: %w", d.Name, err)
+				}
+			}
 		}
-		c.declare(d.Name, &slot{buf: buf, arr: at})
+		f.slots[idx] = slot{val: v}
 		return nil
 	}
-	v := ZeroValue(d.Type)
-	if d.Init != nil {
-		iv, err := c.evalExpr(d.Init)
-		if err != nil {
-			return err
-		}
-		if iv.IsPointer() {
-			v = iv
-		} else {
-			conv, err := Convert(iv, d.Type)
-			if err != nil {
-				return fmt.Errorf("interp: initializing %q: %w", d.Name, err)
-			}
-			v = conv
-		}
-	}
-	c.declare(d.Name, &slot{val: v})
-	return nil
 }
 
-func (c *wiCtx) fillArray(buf *Buffer, il *clc.InitList, off int64) error {
-	pos := off
-	for _, e := range il.Elems {
-		if nested, ok := e.(*clc.InitList); ok {
-			if err := c.fillArray(buf, nested, pos); err != nil {
-				return err
-			}
-			pos += int64(countInitScalars(nested))
-			continue
-		}
-		v, err := c.evalExpr(e)
-		if err != nil {
-			return err
-		}
-		s := ConvertScalar(v, buf.Kind)
-		if err := buf.storeScalar(pos, s.I[0], s.F[0]); err != nil {
-			return err
-		}
-		pos++
-	}
-	return nil
-}
-
-// location is an assignable target.
+// location is an assignable target: a variable's slot, or a span of a
+// buffer read and written as typ.
 type location struct {
 	slot  *slot
-	ptr   *Pointer
+	buf   *Buffer
+	off   int64
 	typ   clc.Type
 	lanes []int // swizzle lanes when assigning through a vector member
 }
 
-func (c *wiCtx) readLoc(loc *location) (Value, error) {
+func (f *frame) readLoc(loc *location) (Value, error) {
 	var base Value
 	switch {
 	case loc.slot != nil:
 		base = loc.slot.val
-	case loc.ptr != nil:
-		v, err := LoadFrom(loc.ptr, loc.typ)
+	case loc.buf != nil:
+		v, err := f.loadCounted(loc.buf, loc.off, loc.typ)
 		if err != nil {
 			return Value{}, err
 		}
-		c.countMem(loc.ptr.Buf.Space, widthOfType(loc.typ), false)
 		base = v
 	default:
 		return Value{}, fmt.Errorf("interp: reading invalid location")
@@ -443,15 +568,15 @@ func (c *wiCtx) readLoc(loc *location) (Value, error) {
 	return extractLanes(base, loc.lanes), nil
 }
 
-func (c *wiCtx) writeLoc(loc *location, v Value) error {
+func (f *frame) writeLoc(loc *location, v Value) error {
 	if loc.lanes != nil {
 		// Read-modify-write through the swizzle.
 		var base Value
 		switch {
 		case loc.slot != nil:
 			base = loc.slot.val
-		case loc.ptr != nil:
-			b, err := LoadFrom(loc.ptr, loc.typ)
+		case loc.buf != nil:
+			b, err := load(loc.buf, loc.off, loc.typ)
 			if err != nil {
 				return err
 			}
@@ -462,8 +587,8 @@ func (c *wiCtx) writeLoc(loc *location, v Value) error {
 			loc.slot.val = merged
 			return nil
 		}
-		c.countMem(loc.ptr.Buf.Space, len(loc.lanes), true)
-		return StoreTo(loc.ptr, merged, loc.typ)
+		f.countMem(loc.buf.Space, len(loc.lanes), true)
+		return store(loc.buf, loc.off, merged, loc.typ)
 	}
 	switch {
 	case loc.slot != nil:
@@ -477,9 +602,9 @@ func (c *wiCtx) writeLoc(loc *location, v Value) error {
 		}
 		loc.slot.val = conv
 		return nil
-	case loc.ptr != nil:
-		c.countMem(loc.ptr.Buf.Space, widthOfType(loc.typ), true)
-		return StoreTo(loc.ptr, v, loc.typ)
+	case loc.buf != nil:
+		f.countMem(loc.buf.Space, widthOfType(loc.typ), true)
+		return store(loc.buf, loc.off, v, loc.typ)
 	}
 	return fmt.Errorf("interp: writing invalid location")
 }
@@ -495,16 +620,28 @@ func extractLanes(v Value, lanes []int) Value {
 	if len(lanes) == 1 {
 		return v.Lane(lanes[0])
 	}
-	out := Value{Kind: v.Kind, Width: len(lanes)}
+	out := newValue(v.Kind, len(lanes))
 	for i, l := range lanes {
-		out.I[i] = v.I[l]
-		out.F[i] = v.F[l]
+		out.set(i, v.li(l), v.lf(l))
 	}
 	return out
 }
 
 func insertLanes(base Value, lanes []int, v Value) Value {
 	out := base
+	if base.vec != nil {
+		cp := *base.vec
+		out.vec = &cp
+	} else {
+		for _, l := range lanes {
+			if l > 0 {
+				// A lane past a scalar's first: give it lane storage.
+				out.vec = &vecLanes{}
+				out.vec.i[0], out.vec.f[0] = base.i, base.f
+				break
+			}
+		}
+	}
 	for i, l := range lanes {
 		var s Value
 		if v.Width <= 1 {
@@ -512,97 +649,113 @@ func insertLanes(base Value, lanes []int, v Value) Value {
 		} else {
 			s = ConvertScalar(v.Lane(i), base.Kind)
 		}
-		out.I[l] = s.I[0]
-		out.F[l] = s.F[0]
+		out.set(l, s.i, s.f)
 	}
 	return out
 }
 
-// evalLValue resolves an assignable expression to a location.
-func (c *wiCtx) evalLValue(e clc.Expr) (*location, error) {
+// singleLanes holds the lane list of every one-lane vector element
+// assignment v[i] = x.
+var singleLanes = func() (ls [MaxLanes][]int) {
+	for i := range ls {
+		ls[i] = []int{i}
+	}
+	return
+}()
+
+// lvalue compiles an assignable expression to its location. Resolving a
+// location charges no step; the expressions it evaluates charge theirs.
+func (c *compiler) lvalue(e clc.Expr) lvalFn {
 	switch x := e.(type) {
 	case *clc.Ident:
-		if s, ok := c.lookup(x.Name); ok {
-			if s.buf != nil {
-				return nil, fmt.Errorf("interp: cannot assign to array %q", x.Name)
-			}
-			t := x.ExprType()
-			if t == nil {
-				t = valueType(s.val)
-			}
-			return &location{slot: s, typ: t}, nil
+		idx, ok := c.lookup(x.Name)
+		if !ok {
+			err := fmt.Errorf("interp: assignment to unknown identifier %q", x.Name)
+			return func(f *frame) (location, error) { return location{}, err }
 		}
-		return nil, fmt.Errorf("interp: assignment to unknown identifier %q", x.Name)
+		// The checker types every identifier it accepts.
+		typ := x.ExprType()
+		return func(f *frame) (location, error) {
+			s := &f.slots[idx]
+			if s.array {
+				return location{}, fmt.Errorf("interp: cannot assign to array %q", x.Name)
+			}
+			return location{slot: s, typ: typ}, nil
+		}
 	case *clc.IndexExpr:
-		base, err := c.evalExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := c.evalExpr(x.Index)
-		if err != nil {
-			return nil, err
-		}
-		if base.IsPointer() {
-			p, elemT := indexPointer(base.Ptr, idx.Int())
-			if at, ok := elemT.(*clc.ArrayType); ok {
-				return nil, fmt.Errorf("interp: cannot assign to array value %s", at)
-			}
-			return &location{ptr: p, typ: elemT}, nil
-		}
-		// Vector lane assignment v[i] — uncommon but legal in some dialects.
-		if base.Width > 1 {
-			loc, err := c.evalLValue(x.X)
+		base, index, baseLoc := c.expr(x.X), c.expr(x.Index), c.lvalue(x.X)
+		return func(f *frame) (location, error) {
+			bv, err := base(f)
 			if err != nil {
-				return nil, err
+				return location{}, err
 			}
-			lane := int(idx.Int())
-			if lane < 0 || lane >= base.Width {
-				return nil, fmt.Errorf("interp: vector lane %d out of range", lane)
+			iv, err := index(f)
+			if err != nil {
+				return location{}, err
 			}
-			loc.lanes = []int{lane}
-			return loc, nil
+			if bv.IsPointer() {
+				p := bv.Ptr
+				off := p.Off + iv.Int()*scalarSlots(p.Elem)
+				if at, ok := p.Elem.(*clc.ArrayType); ok {
+					return location{}, fmt.Errorf("interp: cannot assign to array value %s", at)
+				}
+				return location{buf: p.Buf, off: off, typ: p.Elem}, nil
+			}
+			// Vector lane assignment v[i] — uncommon but legal in some dialects.
+			if bv.Width > 1 {
+				loc, err := baseLoc(f)
+				if err != nil {
+					return location{}, err
+				}
+				lane := int(iv.Int())
+				if lane < 0 || lane >= bv.Width {
+					return location{}, fmt.Errorf("interp: vector lane %d out of range", lane)
+				}
+				loc.lanes = singleLanes[lane]
+				return loc, nil
+			}
+			return location{}, fmt.Errorf("interp: cannot index non-pointer value")
 		}
-		return nil, fmt.Errorf("interp: cannot index non-pointer value")
 	case *clc.MemberExpr:
 		baseT := x.X.ExprType()
-		if vt, ok := baseT.(*clc.VectorType); ok {
-			lanes, err := clc.VectorComponents(x.Member, vt.Len)
-			if err != nil {
-				return nil, err
+		vt, ok := baseT.(*clc.VectorType)
+		if !ok {
+			err := fmt.Errorf("interp: unsupported member assignment on %v", baseT)
+			return func(f *frame) (location, error) { return location{}, err }
+		}
+		lanes, lerr := clc.VectorComponents(x.Member, vt.Len)
+		baseLoc := c.lvalue(x.X)
+		return func(f *frame) (location, error) {
+			if lerr != nil {
+				return location{}, lerr
 			}
-			loc, err := c.evalLValue(x.X)
+			loc, err := baseLoc(f)
 			if err != nil {
-				return nil, err
+				return location{}, err
 			}
 			if loc.lanes != nil {
-				return nil, fmt.Errorf("interp: nested swizzle assignment unsupported")
+				return location{}, fmt.Errorf("interp: nested swizzle assignment unsupported")
 			}
 			loc.lanes = lanes
 			return loc, nil
 		}
-		return nil, fmt.Errorf("interp: unsupported member assignment on %v", baseT)
 	case *clc.UnaryExpr:
 		if x.Op == clc.MUL {
-			v, err := c.evalExpr(x.X)
-			if err != nil {
-				return nil, err
+			ptr := c.expr(x.X)
+			return func(f *frame) (location, error) {
+				v, err := ptr(f)
+				if err != nil {
+					return location{}, err
+				}
+				if !v.IsPointer() {
+					return location{}, fmt.Errorf("interp: dereferencing non-pointer")
+				}
+				return location{buf: v.Ptr.Buf, off: v.Ptr.Off, typ: v.Ptr.Elem}, nil
 			}
-			if !v.IsPointer() {
-				return nil, fmt.Errorf("interp: dereferencing non-pointer")
-			}
-			return &location{ptr: v.Ptr, typ: v.Ptr.Elem}, nil
 		}
 	}
-	return nil, fmt.Errorf("interp: expression %T is not assignable", e)
-}
-
-// valueType reconstructs a clc.Type from a runtime value (fallback when the
-// checker left no annotation).
-func valueType(v Value) clc.Type {
-	if v.Width > 1 {
-		return &clc.VectorType{Elem: v.Kind, Len: v.Width}
-	}
-	return &clc.ScalarType{Kind: v.Kind}
+	err := fmt.Errorf("interp: expression %T is not assignable", e)
+	return func(f *frame) (location, error) { return location{}, err }
 }
 
 // indexPointer advances p by idx elements of its pointee type. When the
@@ -610,221 +763,221 @@ func valueType(v Value) clc.Type {
 // element type — C array decay.
 func indexPointer(p *Pointer, idx int64) (*Pointer, clc.Type) {
 	elemT := p.Elem
-	np := &Pointer{Buf: p.Buf, Off: p.Off + idx*scalarSlots(elemT), Elem: elemT}
+	off := p.Off + idx*scalarSlots(elemT)
 	if at, ok := elemT.(*clc.ArrayType); ok {
-		return &Pointer{Buf: p.Buf, Off: np.Off, Elem: at.Elem}, at
+		return &Pointer{Buf: p.Buf, Off: off, Elem: at.Elem}, at
 	}
-	return np, elemT
+	return &Pointer{Buf: p.Buf, Off: off, Elem: elemT}, elemT
 }
 
-func (c *wiCtx) evalExpr(e clc.Expr) (Value, error) {
-	if err := c.step(); err != nil {
+// constant compiles an expression whose value is fixed at compile time.
+func constant(v Value) exprFn {
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		return v, nil
+	}
+}
+
+// failing compiles an expression that always fails when evaluated.
+func failing(err error) exprFn {
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
 		return Value{}, err
 	}
+}
+
+func (c *compiler) exprs(es []clc.Expr) []exprFn {
+	out := make([]exprFn, len(es))
+	for i, e := range es {
+		out[i] = c.expr(e)
+	}
+	return out
+}
+
+func (c *compiler) expr(e clc.Expr) exprFn {
 	switch x := e.(type) {
 	case *clc.IntLit:
-		t := x.ExprType()
 		kind := clc.Int
-		if st, ok := t.(*clc.ScalarType); ok {
+		if st, ok := x.ExprType().(*clc.ScalarType); ok {
 			kind = st.Kind
 		}
-		return IntValue(kind, x.Value), nil
+		return constant(IntValue(kind, x.Value))
 	case *clc.FloatLit:
 		kind := clc.Double
 		if st, ok := x.ExprType().(*clc.ScalarType); ok {
 			kind = st.Kind
 		}
-		return FloatValue(kind, x.Value), nil
+		return constant(FloatValue(kind, x.Value))
 	case *clc.CharLit:
-		return IntValue(clc.Char, x.Value), nil
+		return constant(IntValue(clc.Char, x.Value))
 	case *clc.StringLit:
-		return Value{}, nil
+		return constant(Value{})
 	case *clc.Ident:
-		return c.evalIdent(x)
+		return c.ident(x)
 	case *clc.BinaryExpr:
-		return c.evalBinary(x)
+		return c.binary(x)
 	case *clc.AssignExpr:
-		return c.evalAssign(x)
+		return c.assign(x)
 	case *clc.UnaryExpr:
-		return c.evalUnary(x)
+		return c.unary(x)
 	case *clc.PostfixExpr:
-		loc, err := c.evalLValue(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		old, err := c.readLoc(loc)
-		if err != nil {
-			return Value{}, err
-		}
-		delta := IntValue(clc.Int, 1)
-		op := clc.ADD
-		if x.Op == clc.DEC {
-			op = clc.SUB
-		}
-		nv, err := binaryOp(op, old, delta)
-		if err != nil {
-			return Value{}, err
-		}
-		c.countArith(old.Kind, old.Width)
-		if err := c.writeLoc(loc, nv); err != nil {
-			return Value{}, err
-		}
-		return old, nil
+		return c.incDec(x.X, x.Op, true)
 	case *clc.CondExpr:
-		cond, err := c.evalExpr(x.Cond)
-		if err != nil {
-			return Value{}, err
-		}
-		c.prof.Branches++
-		if cond.Bool() {
-			return c.evalExpr(x.A)
-		}
-		return c.evalExpr(x.B)
-	case *clc.CallExpr:
-		return c.evalCall(x)
-	case *clc.IndexExpr:
-		return c.evalIndex(x)
-	case *clc.MemberExpr:
-		return c.evalMember(x)
-	case *clc.CastExpr:
-		return c.evalCast(x)
-	case *clc.SizeofExpr:
-		if x.Type != nil {
-			return IntValue(clc.ULong, int64(x.Type.Size())), nil
-		}
-		t := x.X.ExprType()
-		if t == nil {
-			return IntValue(clc.ULong, 4), nil
-		}
-		return IntValue(clc.ULong, int64(t.Size())), nil
-	case *clc.InitList:
-		// Brace initializer in expression position: treat as vector build.
-		var lanes []Value
-		for _, el := range x.Elems {
-			v, err := c.evalExpr(el)
+		cond, a, b := c.expr(x.Cond), c.expr(x.A), c.expr(x.B)
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
+				return Value{}, err
+			}
+			ok, err := f.branch(cond)
 			if err != nil {
 				return Value{}, err
 			}
-			lanes = append(lanes, v)
+			if ok {
+				return a(f)
+			}
+			return b(f)
 		}
-		if len(lanes) == 1 {
-			return lanes[0], nil
+	case *clc.CallExpr:
+		if fn, ok := c.env.funcs[x.Fun]; ok {
+			return call(c.exprs(x.Args), func(f *frame, argv []Value) (Value, error) { return f.call(fn, argv) })
 		}
-		kind := clc.Float
-		if len(lanes) > 0 {
-			kind = lanes[0].Kind
+		return c.builtin(x)
+	case *clc.IndexExpr:
+		return c.index(x)
+	case *clc.MemberExpr:
+		return c.member(x)
+	case *clc.CastExpr:
+		return c.cast(x)
+	case *clc.SizeofExpr:
+		size := int64(4)
+		if x.Type != nil {
+			size = int64(x.Type.Size())
+		} else if t := x.X.ExprType(); t != nil {
+			size = int64(t.Size())
 		}
-		return VecValue(kind, lanes), nil
+		return constant(IntValue(clc.ULong, size))
+	case *clc.InitList:
+		// Brace initializer in expression position: treat as vector build.
+		elems := c.exprs(x.Elems)
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
+				return Value{}, err
+			}
+			var lanes []Value
+			for _, el := range elems {
+				v, err := el(f)
+				if err != nil {
+					return Value{}, err
+				}
+				lanes = append(lanes, v)
+			}
+			if len(lanes) == 1 {
+				return lanes[0], nil
+			}
+			kind := clc.Float
+			if len(lanes) > 0 {
+				kind = lanes[0].Kind
+			}
+			return VecValue(kind, lanes), nil
+		}
 	case *clc.ArgPack:
 		if len(x.Args) == 1 {
-			return c.evalExpr(x.Args[0])
+			return unaryExpr(c.expr(x.Args[0]), pass)
 		}
-		return Value{}, fmt.Errorf("interp: stray argument pack")
+		return failing(fmt.Errorf("interp: stray argument pack"))
 	}
-	return Value{}, fmt.Errorf("interp: unsupported expression %T", e)
+	return failing(fmt.Errorf("interp: unsupported expression %T", e))
 }
 
-func (c *wiCtx) evalIdent(x *clc.Ident) (Value, error) {
-	if s, ok := c.lookup(x.Name); ok {
-		if s.buf != nil {
-			// Array decays to pointer to first element.
-			return PtrValue(&Pointer{Buf: s.buf, Off: 0, Elem: s.arr.Elem}), nil
+// ident resolves a name in order: local variable, file-scope array,
+// file-scope constant, predeclared constant.
+func (c *compiler) ident(x *clc.Ident) exprFn {
+	if idx, ok := c.lookup(x.Name); ok {
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
+				return Value{}, err
+			}
+			return f.slots[idx].val, nil
 		}
-		return s.val, nil
 	}
 	if buf, ok := c.env.consts[x.Name]; ok {
-		// File-scope array.
+		var elem clc.Type = clc.TypeInt
 		for _, d := range c.env.File.Decls {
 			if vd, ok := d.(*clc.VarDecl); ok && vd.Name == x.Name {
 				if at, ok := vd.Type.(*clc.ArrayType); ok {
-					return PtrValue(&Pointer{Buf: buf, Off: 0, Elem: at.Elem}), nil
+					elem = at.Elem
+					break
 				}
 			}
 		}
-		return PtrValue(&Pointer{Buf: buf, Off: 0, Elem: clc.TypeInt}), nil
+		return constant(PtrValue(&Pointer{Buf: buf, Elem: elem}))
 	}
 	if v, ok := c.env.globals[x.Name]; ok {
-		return v, nil
+		return constant(v)
 	}
-	if f, ok := clc.PredeclaredValue(x.Name); ok {
-		t := x.ExprType()
-		if st, ok := t.(*clc.ScalarType); ok {
+	if fv, ok := clc.PredeclaredValue(x.Name); ok {
+		if st, ok := x.ExprType().(*clc.ScalarType); ok {
 			if st.Kind.IsFloat() {
-				return FloatValue(st.Kind, f), nil
+				return constant(FloatValue(st.Kind, fv))
 			}
-			return IntValue(st.Kind, int64(f)), nil
+			return constant(IntValue(st.Kind, int64(fv)))
 		}
-		return FloatValue(clc.Double, f), nil
+		return constant(FloatValue(clc.Double, fv))
 	}
-	return Value{}, fmt.Errorf("interp: unknown identifier %q", x.Name)
+	return failing(fmt.Errorf("interp: unknown identifier %q", x.Name))
 }
 
-func (c *wiCtx) evalBinary(x *clc.BinaryExpr) (Value, error) {
+var intOne = IntValue(clc.Int, 1)
+
+func (c *compiler) binary(x *clc.BinaryExpr) exprFn {
+	a, b := c.expr(x.X), c.expr(x.Y)
 	// Short-circuit evaluation.
 	if x.Op == clc.LAND || x.Op == clc.LOR {
-		a, err := c.evalExpr(x.X)
+		land := x.Op == clc.LAND
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
+				return Value{}, err
+			}
+			av, err := a(f)
+			if err != nil {
+				return Value{}, err
+			}
+			if land != av.Bool() {
+				return IntValue(clc.Int, boolToInt(!land)), nil
+			}
+			bv, err := b(f)
+			if err != nil {
+				return Value{}, err
+			}
+			return IntValue(clc.Int, boolToInt(bv.Bool())), nil
+		}
+	}
+	op := x.Op
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		av, err := a(f)
 		if err != nil {
 			return Value{}, err
 		}
-		if x.Op == clc.LAND && !a.Bool() {
-			return IntValue(clc.Int, 0), nil
-		}
-		if x.Op == clc.LOR && a.Bool() {
-			return IntValue(clc.Int, 1), nil
-		}
-		b, err := c.evalExpr(x.Y)
+		bv, err := b(f)
 		if err != nil {
 			return Value{}, err
 		}
-		return IntValue(clc.Int, boolToInt(b.Bool())), nil
-	}
-	a, err := c.evalExpr(x.X)
-	if err != nil {
-		return Value{}, err
-	}
-	b, err := c.evalExpr(x.Y)
-	if err != nil {
-		return Value{}, err
-	}
-	out, err := binaryOp(x.Op, a, b)
-	if err != nil {
-		return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
-	}
-	if !out.IsPointer() && x.Op != clc.COMMA {
-		c.countArith(out.Kind, out.Width)
-	}
-	return out, nil
-}
-
-func (c *wiCtx) evalAssign(x *clc.AssignExpr) (Value, error) {
-	rhs, err := c.evalExpr(x.Y)
-	if err != nil {
-		return Value{}, err
-	}
-	loc, err := c.evalLValue(x.X)
-	if err != nil {
-		return Value{}, err
-	}
-	if x.Op != clc.ASSIGN {
-		old, err := c.readLoc(loc)
-		if err != nil {
-			return Value{}, err
-		}
-		op, ok := compoundOps[x.Op]
-		if !ok {
-			return Value{}, fmt.Errorf("interp: unsupported compound assignment %s", x.Op)
-		}
-		nv, err := binaryOp(op, old, rhs)
+		out, err := binaryOp(op, av, bv)
 		if err != nil {
 			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}
-		c.countArith(old.Kind, max(old.Width, 1))
-		rhs = nv
+		if !out.IsPointer() && op != clc.COMMA {
+			f.countArith(out.Kind, out.Width)
+		}
+		return out, nil
 	}
-	if err := c.writeLoc(loc, rhs); err != nil {
-		return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
-	}
-	return rhs, nil
 }
 
 var compoundOps = map[clc.TokenKind]clc.TokenKind{
@@ -834,219 +987,325 @@ var compoundOps = map[clc.TokenKind]clc.TokenKind{
 	clc.SHRASSIGN: clc.SHR,
 }
 
-func (c *wiCtx) evalUnary(x *clc.UnaryExpr) (Value, error) {
-	switch x.Op {
-	case clc.MUL:
-		v, err := c.evalExpr(x.X)
+func (c *compiler) assign(x *clc.AssignExpr) exprFn {
+	rhs, lv := c.expr(x.Y), c.lvalue(x.X)
+	compound := x.Op != clc.ASSIGN
+	op, known := compoundOps[x.Op]
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		r, err := rhs(f)
 		if err != nil {
 			return Value{}, err
 		}
-		if !v.IsPointer() {
-			return Value{}, fmt.Errorf("interp: dereferencing non-pointer")
-		}
-		out, err := LoadFrom(v.Ptr, v.Ptr.Elem)
+		loc, err := lv(f)
 		if err != nil {
 			return Value{}, err
 		}
-		c.countMem(v.Ptr.Buf.Space, widthOfType(v.Ptr.Elem), false)
-		return out, nil
-	case clc.AND:
-		return c.evalAddrOf(x.X)
-	case clc.INC, clc.DEC:
-		loc, err := c.evalLValue(x.X)
+		if compound {
+			old, err := f.readLoc(&loc)
+			if err != nil {
+				return Value{}, err
+			}
+			if !known {
+				return Value{}, fmt.Errorf("interp: unsupported compound assignment %s", x.Op)
+			}
+			nv, err := binaryOp(op, old, r)
+			if err != nil {
+				return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
+			}
+			f.countArith(old.Kind, max(old.Width, 1))
+			r = nv
+		}
+		if err := f.writeLoc(&loc, r); err != nil {
+			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
+		}
+		return r, nil
+	}
+}
+
+// incDec compiles ++ and --, prefix or postfix.
+func (c *compiler) incDec(target clc.Expr, tok clc.TokenKind, postfix bool) exprFn {
+	lv := c.lvalue(target)
+	op := clc.ADD
+	if tok == clc.DEC {
+		op = clc.SUB
+	}
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		loc, err := lv(f)
 		if err != nil {
 			return Value{}, err
 		}
-		old, err := c.readLoc(loc)
+		old, err := f.readLoc(&loc)
 		if err != nil {
 			return Value{}, err
 		}
-		op := clc.ADD
-		if x.Op == clc.DEC {
-			op = clc.SUB
-		}
-		nv, err := binaryOp(op, old, IntValue(clc.Int, 1))
+		nv, err := binaryOp(op, old, intOne)
 		if err != nil {
 			return Value{}, err
 		}
-		c.countArith(old.Kind, old.Width)
-		if err := c.writeLoc(loc, nv); err != nil {
+		f.countArith(old.Kind, old.Width)
+		if err := f.writeLoc(&loc, nv); err != nil {
 			return Value{}, err
+		}
+		if postfix {
+			return old, nil
 		}
 		return nv, nil
 	}
-	v, err := c.evalExpr(x.X)
+}
+
+func (c *compiler) unary(x *clc.UnaryExpr) exprFn {
+	switch x.Op {
+	case clc.MUL:
+		return unaryExpr(c.expr(x.X), func(f *frame, v Value) (Value, error) {
+			if !v.IsPointer() {
+				return Value{}, fmt.Errorf("interp: dereferencing non-pointer")
+			}
+			return f.loadCounted(v.Ptr.Buf, v.Ptr.Off, v.Ptr.Elem)
+		})
+	case clc.AND:
+		return unaryExpr(c.addrOf(x.X), pass)
+	case clc.INC, clc.DEC:
+		return c.incDec(x.X, x.Op, false)
+	}
+	op := x.Op
+	return unaryExpr(c.expr(x.X), func(f *frame, v Value) (Value, error) {
+		out, err := unaryOp(op, v)
+		if err != nil {
+			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
+		}
+		f.countArith(out.Kind, out.Width)
+		return out, nil
+	})
+}
+
+// unaryExpr compiles an expression that charges its step, evaluates one
+// operand and applies fn to it.
+func unaryExpr(operand exprFn, fn func(f *frame, v Value) (Value, error)) exprFn {
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		v, err := operand(f)
+		if err != nil {
+			return Value{}, err
+		}
+		return fn(f, v)
+	}
+}
+
+func pass(f *frame, v Value) (Value, error) { return v, nil }
+
+// loadCounted reads a value of type t at slot off of buf and counts the
+// access.
+func (f *frame) loadCounted(buf *Buffer, off int64, t clc.Type) (Value, error) {
+	v, err := load(buf, off, t)
 	if err != nil {
 		return Value{}, err
 	}
-	out, err := unaryOp(x.Op, v)
-	if err != nil {
-		return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
-	}
-	c.countArith(out.Kind, out.Width)
-	return out, nil
+	f.countMem(buf.Space, widthOfType(t), false)
+	return v, nil
 }
 
-func (c *wiCtx) evalAddrOf(e clc.Expr) (Value, error) {
+// addrOf compiles &e. It charges no step of its own beyond the unary
+// expression's.
+func (c *compiler) addrOf(e clc.Expr) exprFn {
 	switch x := e.(type) {
 	case *clc.IndexExpr:
-		base, err := c.evalExpr(x.X)
-		if err != nil {
-			return Value{}, err
-		}
-		idx, err := c.evalExpr(x.Index)
-		if err != nil {
-			return Value{}, err
-		}
-		if !base.IsPointer() {
-			return Value{}, fmt.Errorf("interp: & of non-memory index")
-		}
-		p, _ := indexPointer(base.Ptr, idx.Int())
-		return PtrValue(p), nil
-	case *clc.Ident:
-		if s, ok := c.lookup(x.Name); ok {
-			if s.buf != nil {
-				return PtrValue(&Pointer{Buf: s.buf, Off: 0, Elem: s.arr.Elem}), nil
+		base, index := c.expr(x.X), c.expr(x.Index)
+		return func(f *frame) (Value, error) {
+			bv, err := base(f)
+			if err != nil {
+				return Value{}, err
 			}
-			// Box the scalar variable in a one-slot private buffer so the
-			// pointer has something to reference; writes through the pointer
-			// are reflected back at function exit only — the subset's
-			// kernels use &x almost exclusively for output arguments of
-			// builtins like fract/sincos, which we implement directly. To
-			// keep aliasing honest we migrate the variable into the buffer.
-			kind := s.val.Kind
-			w := max(s.val.Width, 1)
-			buf := NewBuffer(kind, w, clc.Private)
-			for l := 0; l < w; l++ {
-				sc := ConvertScalar(s.val.Lane(l), kind)
-				_ = buf.storeScalar(int64(l), sc.I[0], sc.F[0])
+			iv, err := index(f)
+			if err != nil {
+				return Value{}, err
 			}
-			var elem clc.Type = &clc.ScalarType{Kind: kind}
-			if w > 1 {
-				elem = &clc.VectorType{Elem: kind, Len: w}
+			if !bv.IsPointer() {
+				return Value{}, fmt.Errorf("interp: & of non-memory index")
 			}
-			s.buf = buf
-			s.arr = &clc.ArrayType{Elem: elem, Len: 1}
-			return PtrValue(&Pointer{Buf: buf, Off: 0, Elem: elem}), nil
-		}
-		return Value{}, fmt.Errorf("interp: & of unknown identifier %q", x.Name)
-	case *clc.UnaryExpr:
-		if x.Op == clc.MUL {
-			return c.evalExpr(x.X)
-		}
-	}
-	return Value{}, fmt.Errorf("interp: unsupported address-of target %T", e)
-}
-
-func (c *wiCtx) evalIndex(x *clc.IndexExpr) (Value, error) {
-	base, err := c.evalExpr(x.X)
-	if err != nil {
-		return Value{}, err
-	}
-	idx, err := c.evalExpr(x.Index)
-	if err != nil {
-		return Value{}, err
-	}
-	if base.IsPointer() {
-		p, elemT := indexPointer(base.Ptr, idx.Int())
-		if _, isArr := elemT.(*clc.ArrayType); isArr {
-			// Inner dimension: result is a decayed pointer.
+			p, _ := indexPointer(bv.Ptr, iv.Int())
 			return PtrValue(p), nil
 		}
-		v, err := LoadFrom(p, p.Elem)
-		if err != nil {
-			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
+	case *clc.Ident:
+		idx, ok := c.lookup(x.Name)
+		if !ok {
+			err := fmt.Errorf("interp: & of unknown identifier %q", x.Name)
+			return func(f *frame) (Value, error) { return Value{}, err }
 		}
-		c.countMem(p.Buf.Space, widthOfType(p.Elem), false)
-		return v, nil
-	}
-	if base.Width > 1 {
-		lane := int(idx.Int())
-		if lane < 0 || lane >= base.Width {
-			return Value{}, fmt.Errorf("interp: vector lane %d out of range", lane)
+		return func(f *frame) (Value, error) {
+			s := &f.slots[idx]
+			if !s.array {
+				migrate(s)
+			}
+			return s.val, nil
 		}
-		return base.Lane(lane), nil
+	case *clc.UnaryExpr:
+		if x.Op == clc.MUL {
+			return c.expr(x.X)
+		}
 	}
-	return Value{}, fmt.Errorf("interp: %s: cannot index non-pointer", x.Pos)
+	err := fmt.Errorf("interp: unsupported address-of target %T", e)
+	return func(f *frame) (Value, error) { return Value{}, err }
 }
 
-func (c *wiCtx) evalMember(x *clc.MemberExpr) (Value, error) {
-	base, err := c.evalExpr(x.X)
-	if err != nil {
-		return Value{}, err
+// migrate moves a scalar variable whose address is taken into a one-slot
+// private buffer, so the pointer has something to reference and writes
+// through it stay visible: from then on the variable reads as the
+// pointer. The subset's kernels use &x almost exclusively for output
+// arguments of builtins like fract/sincos.
+func migrate(s *slot) {
+	kind := s.val.Kind
+	w := max(s.val.Width, 1)
+	buf := NewBuffer(kind, w, clc.Private)
+	for l := 0; l < w; l++ {
+		sc := ConvertScalar(s.val.Lane(l), kind)
+		_ = buf.storeScalar(int64(l), sc.i, sc.f)
 	}
-	if base.IsPointer() && x.Arrow {
-		v, err := LoadFrom(base.Ptr, base.Ptr.Elem)
+	var elem clc.Type = &clc.ScalarType{Kind: kind}
+	if w > 1 {
+		elem = &clc.VectorType{Elem: kind, Len: w}
+	}
+	*s = slot{val: PtrValue(&Pointer{Buf: buf, Elem: elem}), array: true}
+}
+
+func (c *compiler) index(x *clc.IndexExpr) exprFn {
+	base, index := c.expr(x.X), c.expr(x.Index)
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
+		}
+		bv, err := base(f)
 		if err != nil {
 			return Value{}, err
 		}
-		c.countMem(base.Ptr.Buf.Space, widthOfType(base.Ptr.Elem), false)
-		base = v
-	}
-	if base.Width >= 1 && !base.IsPointer() {
-		w := base.Width
-		if w < 1 {
-			w = 1
-		}
-		lanes, err := clc.VectorComponents(x.Member, w)
+		iv, err := index(f)
 		if err != nil {
-			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
+			return Value{}, err
 		}
-		return extractLanes(base, lanes), nil
+		if bv.IsPointer() {
+			p := bv.Ptr
+			if _, isArr := p.Elem.(*clc.ArrayType); isArr {
+				// Inner dimension: result is a decayed pointer.
+				np, _ := indexPointer(p, iv.Int())
+				return PtrValue(np), nil
+			}
+			v, err := load(p.Buf, p.Off+iv.Int()*scalarSlots(p.Elem), p.Elem)
+			if err != nil {
+				return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
+			}
+			f.countMem(p.Buf.Space, widthOfType(p.Elem), false)
+			return v, nil
+		}
+		if bv.Width > 1 {
+			lane := int(iv.Int())
+			if lane < 0 || lane >= bv.Width {
+				return Value{}, fmt.Errorf("interp: vector lane %d out of range", lane)
+			}
+			return bv.Lane(lane), nil
+		}
+		return Value{}, fmt.Errorf("interp: %s: cannot index non-pointer", x.Pos)
 	}
-	return Value{}, fmt.Errorf("interp: %s: unsupported member access", x.Pos)
 }
 
-func (c *wiCtx) evalCast(x *clc.CastExpr) (Value, error) {
+// swizzle is a member's lane list at one vector width, or why there is
+// none.
+type swizzle struct {
+	lanes []int
+	err   error
+}
+
+func (c *compiler) member(x *clc.MemberExpr) exprFn {
+	var byWidth [MaxLanes + 1]swizzle
+	for w := 1; w <= MaxLanes; w++ {
+		lanes, err := clc.VectorComponents(x.Member, w)
+		if err != nil {
+			err = fmt.Errorf("interp: %s: %w", x.Pos, err)
+		}
+		byWidth[w] = swizzle{lanes, err}
+	}
+	return unaryExpr(c.expr(x.X), func(f *frame, v Value) (Value, error) {
+		if v.IsPointer() && x.Arrow {
+			var err error
+			if v, err = f.loadCounted(v.Ptr.Buf, v.Ptr.Off, v.Ptr.Elem); err != nil {
+				return Value{}, err
+			}
+		}
+		if v.Width >= 1 && !v.IsPointer() {
+			sw := byWidth[v.Width]
+			if sw.err != nil {
+				return Value{}, sw.err
+			}
+			return extractLanes(v, sw.lanes), nil
+		}
+		return Value{}, fmt.Errorf("interp: %s: unsupported member access", x.Pos)
+	})
+}
+
+func (c *compiler) cast(x *clc.CastExpr) exprFn {
 	if pack, ok := x.X.(*clc.ArgPack); ok {
 		vt, isVec := x.To.(*clc.VectorType)
 		if !isVec {
-			return Value{}, fmt.Errorf("interp: argument pack cast to non-vector %s", x.To)
+			return failing(fmt.Errorf("interp: argument pack cast to non-vector %s", x.To))
 		}
-		var lanes []Value
-		for _, a := range pack.Args {
-			v, err := c.evalExpr(a)
-			if err != nil {
+		args := c.exprs(pack.Args)
+		return func(f *frame) (Value, error) {
+			if err := f.step(); err != nil {
 				return Value{}, err
 			}
-			if v.Width > 1 {
-				for l := 0; l < v.Width; l++ {
-					lanes = append(lanes, v.Lane(l))
+			var buf [MaxLanes]Value
+			lanes := buf[:0]
+			for _, a := range args {
+				v, err := a(f)
+				if err != nil {
+					return Value{}, err
 				}
-			} else {
-				lanes = append(lanes, v)
+				if v.Width > 1 {
+					for l := 0; l < v.Width; l++ {
+						lanes = append(lanes, v.Lane(l))
+					}
+				} else {
+					lanes = append(lanes, v)
+				}
 			}
+			if len(lanes) == 1 {
+				return Splat(lanes[0], vt.Elem, vt.Len), nil
+			}
+			if len(lanes) != vt.Len {
+				return Value{}, fmt.Errorf("interp: vector literal arity %d for %s", len(lanes), vt)
+			}
+			return VecValue(vt.Elem, lanes), nil
 		}
-		if len(lanes) == 1 {
-			return Splat(lanes[0], vt.Elem, vt.Len), nil
+	}
+	return unaryExpr(c.expr(x.X), func(f *frame, v Value) (Value, error) {
+		out, err := Convert(v, x.To)
+		if err != nil {
+			return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
 		}
-		if len(lanes) != vt.Len {
-			return Value{}, fmt.Errorf("interp: vector literal arity %d for %s", len(lanes), vt)
-		}
-		return VecValue(vt.Elem, lanes), nil
-	}
-	v, err := c.evalExpr(x.X)
-	if err != nil {
-		return Value{}, err
-	}
-	out, err := Convert(v, x.To)
-	if err != nil {
-		return Value{}, fmt.Errorf("interp: %s: %w", x.Pos, err)
-	}
-	return out, nil
+		return out, nil
+	})
 }
 
-func (c *wiCtx) evalCall(x *clc.CallExpr) (Value, error) {
-	if fd, ok := c.env.funcs[x.Fun]; ok {
-		args := make([]Value, len(x.Args))
-		for i, a := range x.Args {
-			v, err := c.evalExpr(a)
-			if err != nil {
-				return Value{}, err
-			}
-			args[i] = v
+// call compiles a call that charges its step, evaluates every argument
+// and hands them to impl.
+func call(args []exprFn, impl func(f *frame, argv []Value) (Value, error)) exprFn {
+	return func(f *frame) (Value, error) {
+		if err := f.step(); err != nil {
+			return Value{}, err
 		}
-		return c.runFunction(fd, args)
+		base := len(f.argv)
+		argv, err := f.evalArgs(args)
+		if err != nil {
+			return Value{}, err
+		}
+		v, err := impl(f, argv)
+		f.argv = f.argv[:base]
+		return v, err
 	}
-	return c.callBuiltin(x)
 }

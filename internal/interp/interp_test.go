@@ -542,6 +542,22 @@ func TestSwitchFallthrough(t *testing.T) {
 	}
 }
 
+// TestCrossOfPointerRuns checks that a pointer operand, which the checker
+// lets through, makes cross() compute garbage rather than crash.
+func TestCrossOfPointerRuns(t *testing.T) {
+	env := buildEnv(t, `__kernel void A(__global float* a, __global float4* c) {
+  float p = 0.0f;
+  a[0] = cross(&p, c[0]);
+}`)
+	a := floatBuf(make([]float64, 1))
+	c := floatBuf(make([]float64, 4))
+	vecT := &clc.VectorType{Elem: clc.Float, Len: 4}
+	if _, err := env.Run("A", []Value{ptrArg(a, clc.TypeFloat), ptrArg(c, vecT)},
+		RunConfig{GlobalSize: [3]int{1, 1, 1}, LocalSize: [3]int{1, 1, 1}}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestGlobalConstants(t *testing.T) {
 	env := buildEnv(t, `__constant float scale = 2.5f;
 __constant int lut[4] = {10, 20, 30, 40};

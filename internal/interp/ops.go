@@ -17,45 +17,73 @@ func binaryOp(op clc.TokenKind, a, b Value) (Value, error) {
 	if a.Ptr != nil || b.Ptr != nil {
 		return pointerOp(op, a, b)
 	}
+	if a.Kind == b.Kind && a.Width == 1 && b.Width == 1 && a.vec == nil && b.vec == nil &&
+		op != clc.LAND && op != clc.LOR && op != clc.COMMA {
+		// Two scalars of one kind: nothing to promote or widen.
+		kind := a.Kind
+		if isRelational(op) {
+			kind = clc.Int
+		}
+		i, f, err := laneOp(op, a.Kind, a.i, a.f, b.i, b.f)
+		return Value{Kind: kind, Width: 1, i: i, f: f}, err
+	}
 	kind, width := promote(a, b)
 	av := widen(a, kind, width)
 	bv := widen(b, kind, width)
 
-	switch op {
-	case clc.EQ, clc.NEQ, clc.LT, clc.GT, clc.LEQ, clc.GEQ:
-		return compareOp(op, av, bv, kind, width), nil
-	case clc.LAND:
+	outKind := kind
+	switch {
+	case isRelational(op):
+		outKind = clc.Int
+	case op == clc.LAND:
 		return IntValue(clc.Int, boolToInt(av.Bool() && bv.Bool())), nil
-	case clc.LOR:
+	case op == clc.LOR:
 		return IntValue(clc.Int, boolToInt(av.Bool() || bv.Bool())), nil
-	case clc.COMMA:
+	case op == clc.COMMA:
 		return bv, nil
 	}
-
-	out := Value{Kind: kind, Width: width}
-	if kind.IsFloat() {
-		for l := 0; l < width; l++ {
-			f, err := floatBinary(op, av.F[l], bv.F[l])
-			if err != nil {
-				return Value{}, err
-			}
-			if kind == clc.Float || kind == clc.Half {
-				f = float64(float32(f))
-			}
-			out.F[l] = f
-			out.I[l] = int64(clampToInt64(f))
-		}
-		return out, nil
-	}
+	out := newValue(outKind, width)
 	for l := 0; l < width; l++ {
-		i, err := intBinary(op, av.I[l], bv.I[l], kind)
+		i, f, err := laneOp(op, kind, av.li(l), av.lf(l), bv.li(l), bv.lf(l))
 		if err != nil {
 			return Value{}, err
 		}
-		out.I[l] = truncInt(kind, i)
-		out.F[l] = float64(out.I[l])
+		out.set(l, i, f)
 	}
 	return out, nil
+}
+
+// laneOp applies an arithmetic or relational operator to one lane of
+// operands already promoted to kind, returning the result lane.
+func laneOp(op clc.TokenKind, kind clc.ScalarKind, ai int64, af float64, bi int64, bf float64) (int64, float64, error) {
+	if isRelational(op) {
+		var res bool
+		if kind.IsFloat() {
+			res = compare(op, af, bf)
+		} else if kind.IsUnsigned() {
+			res = compare(op, uint64(ai), uint64(bi))
+		} else {
+			res = compare(op, ai, bi)
+		}
+		r := boolToInt(res)
+		return r, float64(r), nil
+	}
+	if kind.IsFloat() {
+		f, err := floatBinary(op, af, bf)
+		if err != nil {
+			return 0, 0, err
+		}
+		if kind == clc.Float || kind == clc.Half {
+			f = float64(float32(f))
+		}
+		return int64(clampToInt64(f)), f, nil
+	}
+	i, err := intBinary(op, ai, bi, kind)
+	if err != nil {
+		return 0, 0, err
+	}
+	i = truncInt(kind, i)
+	return i, float64(i), nil
 }
 
 func promote(a, b Value) (clc.ScalarKind, int) {
@@ -111,10 +139,10 @@ func widen(v Value, kind clc.ScalarKind, width int) Value {
 	if v.Width <= 1 {
 		return Splat(v, kind, width)
 	}
-	out := Value{Kind: kind, Width: width}
+	out := newValue(kind, width)
 	for l := 0; l < width && l < v.Width; l++ {
 		s := ConvertScalar(v.Lane(l), kind)
-		out.I[l], out.F[l] = s.I[0], s.F[0]
+		out.set(l, s.i, s.f)
 	}
 	return out
 }
@@ -126,60 +154,11 @@ func boolToInt(b bool) int64 {
 	return 0
 }
 
-func compareOp(op clc.TokenKind, a, b Value, kind clc.ScalarKind, width int) Value {
-	out := Value{Kind: clc.Int, Width: width}
-	for l := 0; l < width; l++ {
-		var res bool
-		if kind.IsFloat() {
-			res = floatCompare(op, a.F[l], b.F[l])
-		} else if kind.IsUnsigned() {
-			res = uintCompare(op, uint64(a.I[l]), uint64(b.I[l]))
-		} else {
-			res = intCompare(op, a.I[l], b.I[l])
-		}
-		out.I[l] = boolToInt(res)
-		out.F[l] = float64(out.I[l])
-	}
-	return out
+func isRelational(op clc.TokenKind) bool {
+	return op == clc.EQ || op == clc.NEQ || op == clc.LT || op == clc.GT || op == clc.LEQ || op == clc.GEQ
 }
 
-func floatCompare(op clc.TokenKind, a, b float64) bool {
-	switch op {
-	case clc.EQ:
-		return a == b
-	case clc.NEQ:
-		return a != b
-	case clc.LT:
-		return a < b
-	case clc.GT:
-		return a > b
-	case clc.LEQ:
-		return a <= b
-	case clc.GEQ:
-		return a >= b
-	}
-	return false
-}
-
-func intCompare(op clc.TokenKind, a, b int64) bool {
-	switch op {
-	case clc.EQ:
-		return a == b
-	case clc.NEQ:
-		return a != b
-	case clc.LT:
-		return a < b
-	case clc.GT:
-		return a > b
-	case clc.LEQ:
-		return a <= b
-	case clc.GEQ:
-		return a >= b
-	}
-	return false
-}
-
-func uintCompare(op clc.TokenKind, a, b uint64) bool {
+func compare[T int64 | uint64 | float64](op clc.TokenKind, a, b T) bool {
 	switch op {
 	case clc.EQ:
 		return a == b
@@ -299,7 +278,7 @@ func pointerOp(op clc.TokenKind, a, b Value) (Value, error) {
 		case clc.NEQ:
 			return IntValue(clc.Int, boolToInt(!(a.Ptr.Buf == b.Ptr.Buf && a.Ptr.Off == b.Ptr.Off))), nil
 		case clc.LT, clc.GT, clc.LEQ, clc.GEQ:
-			return IntValue(clc.Int, boolToInt(intCompare(op, a.Ptr.Off, b.Ptr.Off))), nil
+			return IntValue(clc.Int, boolToInt(compare(op, a.Ptr.Off, b.Ptr.Off))), nil
 		}
 	}
 	return Value{}, fmt.Errorf("invalid pointer operation %s", op)
@@ -311,14 +290,14 @@ func unaryOp(op clc.TokenKind, v Value) (Value, error) {
 	case clc.ADD:
 		return v, nil
 	case clc.SUB:
-		out := Value{Kind: v.Kind, Width: max(v.Width, 1)}
+		out := newValue(v.Kind, max(v.Width, 1))
 		for l := 0; l < out.Width; l++ {
 			if v.Kind.IsFloat() {
-				out.F[l] = -v.F[l]
-				out.I[l] = int64(clampToInt64(out.F[l]))
+				f := -v.lf(l)
+				out.set(l, int64(clampToInt64(f)), f)
 			} else {
-				out.I[l] = truncInt(v.Kind, -v.I[l])
-				out.F[l] = float64(out.I[l])
+				i := truncInt(v.Kind, -v.li(l))
+				out.set(l, i, float64(i))
 			}
 		}
 		return out, nil
@@ -328,10 +307,10 @@ func unaryOp(op clc.TokenKind, v Value) (Value, error) {
 		if v.Kind.IsFloat() {
 			return Value{}, fmt.Errorf("operator ~ on float operand")
 		}
-		out := Value{Kind: v.Kind, Width: max(v.Width, 1)}
+		out := newValue(v.Kind, max(v.Width, 1))
 		for l := 0; l < out.Width; l++ {
-			out.I[l] = truncInt(v.Kind, ^v.I[l])
-			out.F[l] = float64(out.I[l])
+			i := truncInt(v.Kind, ^v.li(l))
+			out.set(l, i, float64(i))
 		}
 		return out, nil
 	}

@@ -23,6 +23,7 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 	if err != nil {
 		return nil, err
 	}
+	fn := env.funcs[name]
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
@@ -48,12 +49,15 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 
 	prof := &Profile{}
 	budget := cfg.MaxSteps
+	defer func() { prof.Steps = cfg.MaxSteps - budget }()
 	ngrp := [3]int64{
 		int64(cfg.GlobalSize[0] / cfg.LocalSize[0]),
 		int64(cfg.GlobalSize[1] / cfg.LocalSize[1]),
 		int64(cfg.GlobalSize[2] / cfg.LocalSize[2]),
 	}
 	lockstep := env.usesBarrier[name]
+	// One frame serves every work-item of the sequential groups.
+	seq := newFrame(ngrp, &cfg, prof, &budget)
 
 	for gz := int64(0); gz < ngrp[2]; gz++ {
 		for gy := int64(0); gy < ngrp[1]; gy++ {
@@ -65,11 +69,18 @@ func (env *Env) Run(name string, args []Value, cfg RunConfig) (*Profile, error) 
 					groupArgs[i] = PtrValue(&Pointer{Buf: buf, Off: 0, Elem: args[i].Ptr.Elem})
 				}
 				grp := [3]int64{gx, gy, gz}
+				groupLocals := make([]*Buffer, env.nGroupLocals)
 				var err error
 				if lockstep {
-					err = env.runGroupLockstep(fd, groupArgs, grp, ngrp, &cfg, prof, &budget)
+					err = runGroupLockstep(fn, groupArgs, grp, groupLocals, ngrp, &cfg, prof, &budget)
 				} else {
-					err = env.runGroupSequential(fd, groupArgs, grp, ngrp, &cfg, prof, &budget)
+					seq.groupLocals = groupLocals
+					err = localIter(&cfg, func(lid [3]int64) error {
+						seq.setIDs(grp, lid)
+						prof.WorkItems++
+						_, err := seq.call(fn, groupArgs)
+						return err
+					})
 				}
 				if err != nil {
 					return prof, err
@@ -94,32 +105,22 @@ func localIter(cfg *RunConfig, fn func(lid [3]int64) error) error {
 	return nil
 }
 
-func newWICtx(env *Env, grp, lid, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) *wiCtx {
-	c := &wiCtx{
-		env:    env,
-		lid:    lid,
-		grp:    grp,
-		ngrp:   ngrp,
-		prof:   prof,
-		budget: budget,
-	}
+// newFrame returns a frame for one launch, not yet pointed at a work-item.
+func newFrame(ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) *frame {
+	f := &frame{ngrp: ngrp, prof: prof, budget: budget}
 	for d := 0; d < 3; d++ {
-		c.gsize[d] = int64(cfg.GlobalSize[d])
-		c.lsize[d] = int64(cfg.LocalSize[d])
-		c.gid[d] = grp[d]*c.lsize[d] + lid[d]
+		f.gsize[d] = int64(cfg.GlobalSize[d])
+		f.lsize[d] = int64(cfg.LocalSize[d])
 	}
-	return c
+	return f
 }
 
-func (env *Env) runGroupSequential(fd *clc.FuncDecl, args []Value, grp, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) error {
-	groupLocals := map[*clc.VarDecl]*slot{}
-	return localIter(cfg, func(lid [3]int64) error {
-		c := newWICtx(env, grp, lid, ngrp, cfg, prof, budget)
-		c.groupLocals = groupLocals
-		prof.WorkItems++
-		_, err := c.runFunction(fd, args)
-		return err
-	})
+// setIDs points the frame at one work-item.
+func (f *frame) setIDs(grp, lid [3]int64) {
+	f.grp, f.lid = grp, lid
+	for d := 0; d < 3; d++ {
+		f.gid[d] = grp[d]*f.lsize[d] + lid[d]
+	}
 }
 
 // lockstep execution: one goroutine per work-item of the group, resumed in
@@ -135,19 +136,19 @@ type wiHandle struct {
 	done   bool
 }
 
-func (env *Env) runGroupLockstep(fd *clc.FuncDecl, args []Value, grp, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) error {
+func runGroupLockstep(fn *function, args []Value, grp [3]int64, groupLocals []*Buffer, ngrp [3]int64, cfg *RunConfig, prof *Profile, budget *int64) error {
 	n := cfg.LocalSize[0] * cfg.LocalSize[1] * cfg.LocalSize[2]
 	items := make([]*wiHandle, 0, n)
 	cancel := false
-	groupLocals := map[*clc.VarDecl]*slot{}
 
 	_ = localIter(cfg, func(lid [3]int64) error {
 		h := &wiHandle{resume: make(chan struct{}), report: make(chan wiReport)}
 		items = append(items, h)
-		c := newWICtx(env, grp, lid, ngrp, cfg, prof, budget)
-		c.cancel = &cancel
-		c.groupLocals = groupLocals
-		c.yield = func() error {
+		f := newFrame(ngrp, cfg, prof, budget)
+		f.setIDs(grp, lid)
+		f.cancel = &cancel
+		f.groupLocals = groupLocals
+		f.yield = func() error {
 			h.report <- wiReport{barrier: true}
 			<-h.resume
 			if cancel {
@@ -160,7 +161,7 @@ func (env *Env) runGroupLockstep(fd *clc.FuncDecl, args []Value, grp, ngrp [3]in
 			<-h.resume
 			var err error
 			if !cancel {
-				_, err = c.runFunction(fd, args)
+				_, err = f.call(fn, args)
 			}
 			h.report <- wiReport{err: err}
 		}()

@@ -17,14 +17,67 @@ import (
 const MaxLanes = 16
 
 // Value is a runtime value: a scalar, a vector of up to 16 lanes, or a
-// pointer. Integer kinds keep exact 64-bit payloads in I; float kinds use
-// F. Both arrays are fixed-size so Values are allocation-free.
+// pointer. Integer kinds keep exact 64-bit payloads in the integer lane,
+// float kinds in the float lane, and each lane carries both. A scalar
+// holds its one lane inline; a vector holds all of its lanes in a
+// separately allocated block that is never written once the Value is
+// built, so copies share it freely. Keeping scalars free of lane arrays
+// keeps a Value at six words.
 type Value struct {
 	Kind  clc.ScalarKind
 	Width int // 1 for scalars, 2/3/4/8/16 for vectors, 0 for pointers
 	Ptr   *Pointer
-	I     [MaxLanes]int64
-	F     [MaxLanes]float64
+	i     int64 // lane 0 when vec is nil
+	f     float64
+	vec   *vecLanes // every lane of a vector; nil for scalars and pointers
+}
+
+// vecLanes is the lane storage of a vector Value. Lanes past the
+// vector's width stay zero.
+type vecLanes struct {
+	i [MaxLanes]int64
+	f [MaxLanes]float64
+}
+
+// newValue returns a zero value of the given kind and width, with fresh
+// lane storage when the width makes it a vector.
+func newValue(kind clc.ScalarKind, w int) Value {
+	v := Value{Kind: kind, Width: w}
+	if w > 1 {
+		v.vec = new(vecLanes)
+	}
+	return v
+}
+
+// li and lf read lane l; lanes a scalar does not have read as zero.
+func (v *Value) li(l int) int64 {
+	if v.vec != nil {
+		return v.vec.i[l]
+	}
+	if l == 0 {
+		return v.i
+	}
+	return 0
+}
+
+func (v *Value) lf(l int) float64 {
+	if v.vec != nil {
+		return v.vec.f[l]
+	}
+	if l == 0 {
+		return v.f
+	}
+	return 0
+}
+
+// set writes lane l of a Value under construction, one that no copy
+// shares yet.
+func (v *Value) set(l int, i int64, f float64) {
+	if v.vec != nil {
+		v.vec.i[l], v.vec.f[l] = i, f
+	} else if l == 0 {
+		v.i, v.f = i, f
+	}
 }
 
 // Pointer references a span of a Buffer. Off is measured in scalar slots of
@@ -171,21 +224,16 @@ func (b *Buffer) storeScalar(off int64, i int64, f float64) error {
 
 // IntValue returns a scalar integer value of the given kind.
 func IntValue(kind clc.ScalarKind, v int64) Value {
-	val := Value{Kind: kind, Width: 1}
-	val.I[0] = truncInt(kind, v)
-	val.F[0] = float64(val.I[0])
-	return val
+	i := truncInt(kind, v)
+	return Value{Kind: kind, Width: 1, i: i, f: float64(i)}
 }
 
 // FloatValue returns a scalar float value of the given kind.
 func FloatValue(kind clc.ScalarKind, v float64) Value {
-	val := Value{Kind: kind, Width: 1}
 	if kind == clc.Float || kind == clc.Half {
 		v = float64(float32(v))
 	}
-	val.F[0] = v
-	val.I[0] = int64(clampToInt64(v))
-	return val
+	return Value{Kind: kind, Width: 1, i: int64(clampToInt64(v)), f: v}
 }
 
 // PtrValue returns a pointer value.
@@ -193,11 +241,10 @@ func PtrValue(p *Pointer) Value { return Value{Ptr: p} }
 
 // VecValue builds a vector value of the given element kind from lanes.
 func VecValue(kind clc.ScalarKind, lanes []Value) Value {
-	v := Value{Kind: kind, Width: len(lanes)}
+	v := newValue(kind, len(lanes))
 	for i, l := range lanes {
 		s := ConvertScalar(l, kind)
-		v.I[i] = s.I[0]
-		v.F[i] = s.F[0]
+		v.set(i, s.i, s.f)
 	}
 	return v
 }
@@ -205,10 +252,9 @@ func VecValue(kind clc.ScalarKind, lanes []Value) Value {
 // Splat replicates a scalar across w lanes.
 func Splat(s Value, kind clc.ScalarKind, w int) Value {
 	c := ConvertScalar(s, kind)
-	v := Value{Kind: kind, Width: w}
+	v := newValue(kind, w)
 	for i := 0; i < w; i++ {
-		v.I[i] = c.I[0]
-		v.F[i] = c.F[0]
+		v.set(i, c.i, c.f)
 	}
 	return v
 }
@@ -218,10 +264,7 @@ func (v Value) IsPointer() bool { return v.Ptr != nil }
 
 // Lane returns lane i as a scalar value.
 func (v Value) Lane(i int) Value {
-	s := Value{Kind: v.Kind, Width: 1}
-	s.I[0] = v.I[i]
-	s.F[0] = v.F[i]
-	return s
+	return Value{Kind: v.Kind, Width: 1, i: v.li(i), f: v.lf(i)}
 }
 
 // Bool reports the C truthiness of a scalar value.
@@ -230,25 +273,25 @@ func (v Value) Bool() bool {
 		return true
 	}
 	if v.Kind.IsFloat() {
-		return v.F[0] != 0
+		return v.lf(0) != 0
 	}
-	return v.I[0] != 0
+	return v.li(0) != 0
 }
 
 // Int returns the integer interpretation of lane 0.
 func (v Value) Int() int64 {
 	if v.Kind.IsFloat() {
-		return int64(clampToInt64(v.F[0]))
+		return int64(clampToInt64(v.lf(0)))
 	}
-	return v.I[0]
+	return v.li(0)
 }
 
 // Float returns the floating-point interpretation of lane 0.
 func (v Value) Float() float64 {
 	if v.Kind.IsFloat() {
-		return v.F[0]
+		return v.lf(0)
 	}
-	return float64(v.I[0])
+	return float64(v.li(0))
 }
 
 // String renders the value for diagnostics.
@@ -258,9 +301,9 @@ func (v Value) String() string {
 	}
 	if v.Width <= 1 {
 		if v.Kind.IsFloat() {
-			return fmt.Sprintf("%g", v.F[0])
+			return fmt.Sprintf("%g", v.lf(0))
 		}
-		return fmt.Sprintf("%d", v.I[0])
+		return fmt.Sprintf("%d", v.li(0))
 	}
 	s := fmt.Sprintf("%s%d(", v.Kind, v.Width)
 	for i := 0; i < v.Width; i++ {
@@ -268,9 +311,9 @@ func (v Value) String() string {
 			s += ", "
 		}
 		if v.Kind.IsFloat() {
-			s += fmt.Sprintf("%g", v.F[i])
+			s += fmt.Sprintf("%g", v.lf(i))
 		} else {
-			s += fmt.Sprintf("%d", v.I[i])
+			s += fmt.Sprintf("%d", v.li(i))
 		}
 	}
 	return s + ")"
@@ -328,9 +371,9 @@ func ConvertScalar(v Value, kind clc.ScalarKind) Value {
 		return FloatValue(kind, v.Float())
 	}
 	if v.Kind.IsFloat() {
-		return IntValue(kind, int64(clampToInt64(v.F[0])))
+		return IntValue(kind, int64(clampToInt64(v.lf(0))))
 	}
-	return IntValue(kind, v.I[0])
+	return IntValue(kind, v.li(0))
 }
 
 // Convert converts v to an arbitrary scalar or vector type, applying
@@ -351,11 +394,10 @@ func Convert(v Value, t clc.Type) (Value, error) {
 		if v.Width != tt.Len {
 			return Value{}, fmt.Errorf("cannot convert %d-wide vector to %s", v.Width, t)
 		}
-		out := Value{Kind: tt.Elem, Width: tt.Len}
+		out := newValue(tt.Elem, tt.Len)
 		for i := 0; i < tt.Len; i++ {
 			s := ConvertScalar(v.Lane(i), tt.Elem)
-			out.I[i] = s.I[0]
-			out.F[i] = s.F[0]
+			out.set(i, s.i, s.f)
 		}
 		return out, nil
 	case *clc.PointerType:
@@ -380,7 +422,7 @@ func ZeroValue(t clc.Type) Value {
 		}
 		return IntValue(tt.Kind, 0)
 	case *clc.VectorType:
-		return Value{Kind: tt.Elem, Width: tt.Len}
+		return newValue(tt.Elem, tt.Len)
 	case *clc.PointerType:
 		return Value{}
 	}
@@ -408,11 +450,11 @@ func scalarSlots(t clc.Type) int64 {
 	return 1
 }
 
-// LoadFrom reads a value of type t from p.
-func LoadFrom(p *Pointer, t clc.Type) (Value, error) {
+// load reads a value of type t at scalar slot off of buf.
+func load(buf *Buffer, off int64, t clc.Type) (Value, error) {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
-		i, f, err := p.Buf.loadScalar(p.Off)
+		i, f, err := buf.loadScalar(off)
 		if err != nil {
 			return Value{}, err
 		}
@@ -421,37 +463,35 @@ func LoadFrom(p *Pointer, t clc.Type) (Value, error) {
 		}
 		return IntValue(tt.Kind, i), nil
 	case *clc.VectorType:
-		v := Value{Kind: tt.Elem, Width: tt.Len}
+		v := newValue(tt.Elem, tt.Len)
 		for l := 0; l < tt.Len; l++ {
-			i, f, err := p.Buf.loadScalar(p.Off + int64(l))
+			i, f, err := buf.loadScalar(off + int64(l))
 			if err != nil {
 				return Value{}, err
 			}
-			s := Value{Kind: p.Buf.Kind, Width: 1}
-			s.I[0], s.F[0] = i, f
-			c := ConvertScalar(s, tt.Elem)
-			v.I[l], v.F[l] = c.I[0], c.F[0]
+			c := ConvertScalar(Value{Kind: buf.Kind, Width: 1, i: i, f: f}, tt.Elem)
+			v.set(l, c.i, c.f)
 		}
 		return v, nil
 	}
 	return Value{}, fmt.Errorf("cannot load %s from memory", t)
 }
 
-// StoreTo writes v (of type t) through p.
-func StoreTo(p *Pointer, v Value, t clc.Type) error {
+// store writes v (of type t) at scalar slot off of buf.
+func store(buf *Buffer, off int64, v Value, t clc.Type) error {
 	switch tt := t.(type) {
 	case *clc.ScalarType:
 		c := ConvertScalar(v, tt.Kind)
-		cb := ConvertScalar(c, p.Buf.Kind)
-		return p.Buf.storeScalar(p.Off, cb.I[0], cb.F[0])
+		cb := ConvertScalar(c, buf.Kind)
+		return buf.storeScalar(off, cb.i, cb.f)
 	case *clc.VectorType:
 		cv, err := Convert(v, tt)
 		if err != nil {
 			return err
 		}
 		for l := 0; l < tt.Len; l++ {
-			cb := ConvertScalar(cv.Lane(l), p.Buf.Kind)
-			if err := p.Buf.storeScalar(p.Off+int64(l), cb.I[0], cb.F[0]); err != nil {
+			cb := ConvertScalar(cv.Lane(l), buf.Kind)
+			if err := buf.storeScalar(off+int64(l), cb.i, cb.f); err != nil {
 				return err
 			}
 		}
