@@ -407,14 +407,31 @@ func BenchmarkRewriter(b *testing.B) {
 	}
 }
 
-// BenchmarkNGramSample measures raw model sampling throughput.
+// BenchmarkNGramTrain measures fitting the default-order n-gram model to
+// the test-config corpus (MB/s of corpus text).
+func BenchmarkNGramTrain(b *testing.B) {
+	text := benchWorld(b).CLgen.Corpus.Text
+	b.SetBytes(int64(len(text)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := model.TrainNGram(text, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkNGramSample measures raw model sampling throughput: whole
+// kernels per op, and generated characters per second.
 func BenchmarkNGramSample(b *testing.B) {
 	w := benchWorld(b)
 	rng := rand.New(rand.NewSource(3))
+	chars := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		w.CLgen.Model.SampleKernel(rng, model.SampleOpts{Seed: model.FreeSeed})
+		k := w.CLgen.Model.SampleKernel(rng, model.SampleOpts{Seed: model.FreeSeed})
+		chars += len(k) - len(model.FreeSeed)
 	}
+	b.ReportMetric(float64(chars)/b.Elapsed().Seconds(), "chars/s")
 }
 
 // BenchmarkLSTMStep measures one forward step of a paper-shaped (scaled)

@@ -3,6 +3,7 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -214,5 +215,105 @@ func TestTreePredictTotal(t *testing.T) {
 	}, nil)
 	if err != nil {
 		t.Error(err)
+	}
+}
+
+// bruteSplit is the exhaustive splitter the sweep replaced, kept as its
+// reference: every candidate threshold re-partitions every sample. Gini
+// terms are summed in ascending label order, as bestSplit sums them.
+func bruteSplit(X [][]float64, y []int, idx []int) (feat int, thr float64, ok bool) {
+	bestGini := 2.0
+	width := len(X[idx[0]])
+	vals := make([]float64, 0, len(idx))
+	for f := 0; f < width; f++ {
+		vals = vals[:0]
+		for _, i := range idx {
+			vals = append(vals, X[i][f])
+		}
+		sort.Float64s(vals)
+		for v := 1; v < len(vals); v++ {
+			if vals[v] == vals[v-1] {
+				continue
+			}
+			t := (vals[v] + vals[v-1]) / 2
+			if g := bruteGini(X, y, idx, f, t); g < bestGini-1e-12 {
+				bestGini, feat, thr, ok = g, f, t, true
+			}
+		}
+	}
+	return feat, thr, ok
+}
+
+func bruteGini(X [][]float64, y []int, idx []int, f int, t float64) float64 {
+	lc, rc := map[int]int{}, map[int]int{}
+	ln, rn := 0, 0
+	for _, i := range idx {
+		if X[i][f] <= t {
+			lc[y[i]]++
+			ln++
+		} else {
+			rc[y[i]]++
+			rn++
+		}
+	}
+	gini := func(c map[int]int, n int) float64 {
+		if n == 0 {
+			return 0
+		}
+		labels := make([]int, 0, len(c))
+		for l := range c {
+			labels = append(labels, l)
+		}
+		sort.Ints(labels)
+		g := 1.0
+		for _, l := range labels {
+			p := float64(c[l]) / float64(n)
+			g -= p * p
+		}
+		return g
+	}
+	n := float64(ln + rn)
+	return float64(ln)/n*gini(lc, ln) + float64(rn)/n*gini(rc, rn)
+}
+
+// TestBestSplitMatchesBruteForce checks the sorted sweep picks the same
+// feature and threshold as the exhaustive splitter, on data with ties,
+// few distinct values, adjacent floats (whose midpoint rounds up), signed
+// infinities, NaNs and several labels.
+func TestBestSplitMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	specials := []float64{math.Inf(1), math.Inf(-1), math.NaN(), 1, math.Nextafter(1, 2), 0, math.Copysign(0, -1), -0.5}
+	value := func(kind int) float64 {
+		switch kind {
+		case 0:
+			return rng.Float64()
+		case 1:
+			return float64(rng.Intn(4))
+		default:
+			return specials[rng.Intn(len(specials))]
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		n, width, nlab := 1+rng.Intn(40), 1+rng.Intn(4), 1+rng.Intn(4)
+		kinds := make([]int, width)
+		for f := range kinds {
+			kinds[f] = rng.Intn(3)
+		}
+		X := make([][]float64, n)
+		y := make([]int, n)
+		for i := range X {
+			X[i] = make([]float64, width)
+			for f := range X[i] {
+				X[i][f] = value(kinds[f])
+			}
+			y[i] = 3*rng.Intn(nlab) - 2 // non-dense, negative labels too
+		}
+		idx := rng.Perm(n)[:1+rng.Intn(n)]
+		f1, t1, ok1 := bestSplit(X, y, idx)
+		f2, t2, ok2 := bruteSplit(X, y, idx)
+		if f1 != f2 || ok1 != ok2 || math.Float64bits(t1) != math.Float64bits(t2) && !(math.IsNaN(t1) && math.IsNaN(t2)) {
+			t.Fatalf("trial %d: sweep (%d, %v, %v), brute force (%d, %v, %v)\nX=%v y=%v idx=%v",
+				trial, f1, t1, ok1, f2, t2, ok2, X, y, idx)
+		}
 	}
 }

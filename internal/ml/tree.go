@@ -6,7 +6,10 @@
 package ml
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 )
 
@@ -151,58 +154,92 @@ func majority(y []int, idx []int) (int, bool) {
 	return best, len(counts) == 1
 }
 
-// bestSplit searches every feature for the Gini-optimal threshold.
+// bestSplit searches every feature for the Gini-optimal threshold: the
+// midpoint of two consecutive distinct values, the earliest on ties. One
+// sorted sweep per feature moves samples left while value <= threshold,
+// so a midpoint that rounds up to the larger value keeps both on the left,
+// as Predict and build partition them. NaN values, which sort.Float64s
+// puts first, give one NaN threshold that sends every sample right, and
+// never go left.
 func bestSplit(X [][]float64, y []int, idx []int) (feat int, thr float64, ok bool) {
-	bestGini := 2.0
-	width := len(X[idx[0]])
-	vals := make([]float64, 0, len(idx))
-	for f := 0; f < width; f++ {
-		vals = vals[:0]
-		for _, i := range idx {
-			vals = append(vals, X[i][f])
+	// Dense label indices in ascending label order: the Gini terms are
+	// summed in that fixed order.
+	labels := make([]int, 0, 2)
+	for _, i := range idx {
+		if k := sort.SearchInts(labels, y[i]); k == len(labels) || labels[k] != y[i] {
+			labels = slices.Insert(labels, k, y[i])
 		}
-		sort.Float64s(vals)
-		for v := 1; v < len(vals); v++ {
-			if vals[v] == vals[v-1] {
+	}
+	lab := make([]int, len(idx))
+	total := make([]int, len(labels))
+	for k, i := range idx {
+		lab[k] = sort.SearchInts(labels, y[i])
+		total[lab[k]]++
+	}
+	left := make([]int, len(labels))
+	type sample struct {
+		v   float64
+		lab int
+	}
+	samples := make([]sample, 0, len(idx))
+
+	bestGini := 2.0
+	try := func(f int, t float64, ln int) {
+		if g := splitGini(left, total, ln, len(idx)); g < bestGini-1e-12 {
+			bestGini, feat, thr, ok = g, f, t, true
+		}
+	}
+	width := len(X[idx[0]])
+	for f := 0; f < width; f++ {
+		samples = samples[:0]
+		for k, i := range idx {
+			if v := X[i][f]; !math.IsNaN(v) {
+				samples = append(samples, sample{v, lab[k]})
+			}
+		}
+		slices.SortFunc(samples, func(a, b sample) int { return cmp.Compare(a.v, b.v) })
+		clear(left)
+		if len(samples) < len(idx) && len(idx) > 1 {
+			try(f, math.NaN(), 0)
+		}
+		ln := 0
+		for v := 1; v < len(samples); v++ {
+			if samples[v].v == samples[v-1].v {
 				continue
 			}
-			t := (vals[v] + vals[v-1]) / 2
-			g := splitGini(X, y, idx, f, t)
-			if g < bestGini-1e-12 {
-				bestGini, feat, thr, ok = g, f, t, true
+			// t is NaN only between -Inf and +Inf, and nothing moves.
+			t := (samples[v].v + samples[v-1].v) / 2
+			for ; ln < len(samples) && samples[ln].v <= t; ln++ {
+				left[samples[ln].lab]++
 			}
+			try(f, t, ln)
 		}
 	}
 	return feat, thr, ok
 }
 
-// splitGini computes the weighted Gini impurity of a candidate split.
-func splitGini(X [][]float64, y []int, idx []int, f int, t float64) float64 {
-	lc := map[int]int{}
-	rc := map[int]int{}
-	ln, rn := 0, 0
-	for _, i := range idx {
-		if X[i][f] <= t {
-			lc[y[i]]++
-			ln++
-		} else {
-			rc[y[i]]++
-			rn++
+// splitGini computes the weighted Gini impurity of a split of n samples
+// with per-label counts total, ln of them (per-label counts left) on the
+// left.
+func splitGini(left, total []int, ln, n int) float64 {
+	rn := n - ln
+	var lg, rg float64
+	if ln > 0 {
+		lg = 1.0
+		for _, k := range left {
+			p := float64(k) / float64(ln)
+			lg -= p * p
 		}
 	}
-	gini := func(c map[int]int, n int) float64 {
-		if n == 0 {
-			return 0
+	if rn > 0 {
+		rg = 1.0
+		for l, k := range total {
+			p := float64(k-left[l]) / float64(rn)
+			rg -= p * p
 		}
-		g := 1.0
-		for _, k := range c {
-			p := float64(k) / float64(n)
-			g -= p * p
-		}
-		return g
 	}
-	n := float64(ln + rn)
-	return float64(ln)/n*gini(lc, ln) + float64(rn)/n*gini(rc, rn)
+	fn := float64(n)
+	return float64(ln)/fn*lg + float64(rn)/fn*rg
 }
 
 // Accuracy returns the fraction of correct predictions.

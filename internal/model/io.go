@@ -50,6 +50,9 @@ func Load(r io.Reader) (*Model, error) {
 	m := &Model{Vocab: v, Lineage: mf.Lineage}
 	switch {
 	case mf.NGram != nil:
+		if err := mf.NGram.Validate(); err != nil {
+			return nil, fmt.Errorf("model: load: %w", err)
+		}
 		m.LM = mf.NGram
 	case mf.LSTM != nil:
 		m.LM = mf.LSTM

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math/rand"
 	"strings"
 	"testing"
@@ -214,5 +216,32 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 func TestModelLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(strings.NewReader("not a gob")); err == nil {
 		t.Error("garbage accepted")
+	}
+}
+
+// TestModelLoadRejectsOldNGram checks a checkpoint whose n-gram payload is
+// the old string-keyed format fails with a retrain hint: gob would decode
+// it into a model with no context tree.
+func TestModelLoadRejectsOldNGram(t *testing.T) {
+	type oldNGram struct {
+		Order  int
+		Vocab  int
+		Counts map[string][]nn.Succ
+	}
+	type oldFile struct {
+		Chars []byte
+		NGram *oldNGram
+	}
+	chars := BuildVocabulary("x").Chars
+	old := oldFile{Chars: chars, NGram: &oldNGram{
+		Order: 2, Vocab: len(chars), Counts: map[string][]nn.Succ{"": {{Sym: 0, Count: 1}}},
+	}}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	if err == nil || !strings.Contains(err.Error(), "retrain") {
+		t.Fatalf("old n-gram checkpoint: err = %v, want a retrain error", err)
 	}
 }

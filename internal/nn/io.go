@@ -61,5 +61,8 @@ func LoadNGram(r io.Reader) (*NGram, error) {
 	if err := gob.NewDecoder(r).Decode(&m); err != nil {
 		return nil, fmt.Errorf("nn: load ngram: %w", err)
 	}
+	if err := m.Validate(); err != nil {
+		return nil, err
+	}
 	return &m, nil
 }

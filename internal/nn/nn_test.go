@@ -244,8 +244,12 @@ func TestNGramBackoff(t *testing.T) {
 }
 
 func TestNGramSaveLoad(t *testing.T) {
-	corpus := []int{0, 1, 0, 2, 0, 1}
-	m, _ := TrainNGram(corpus, 3, 2)
+	rng := rand.New(rand.NewSource(2))
+	corpus := make([]int, 600)
+	for i := range corpus {
+		corpus[i] = (i/3)%5 + rng.Intn(2)
+	}
+	m, _ := TrainNGram(corpus, 7, 4)
 	var buf bytes.Buffer
 	if err := SaveNGram(&buf, m); err != nil {
 		t.Fatal(err)
@@ -256,6 +260,18 @@ func TestNGramSaveLoad(t *testing.T) {
 	}
 	if m2.Order != m.Order || m2.Vocab != m.Vocab || m2.Contexts() != m.Contexts() {
 		t.Errorf("round trip: %+v vs %+v", m2, m)
+	}
+	// The loaded model must sample the same sequence as the saved one.
+	s1, s2 := m.NewSession(), m2.NewSession()
+	r1, r2 := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	scratch := make([]float64, m.Vocab)
+	for i := 0; i < 500; i++ {
+		x, y := SampleNext(s1, 0.8, r1, scratch), SampleNext(s2, 0.8, r2, scratch)
+		if x != y {
+			t.Fatalf("step %d: saved model sampled %d, loaded model %d", i, x, y)
+		}
+		s1.Observe(x)
+		s2.Observe(y)
 	}
 }
 

@@ -3,6 +3,7 @@ package perf
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -187,10 +188,33 @@ func (w *Watchdog) DumpNow(reason string) {
 	b.Write(buf[:n])
 	b.WriteByte('\n')
 
-	if err := os.WriteFile(w.cfg.DumpPath, []byte(b.String()), 0o644); err != nil {
+	if err := writeFileAtomic(w.cfg.DumpPath, []byte(b.String())); err != nil {
 		telemetry.Error("stall dump write failed", "path", w.cfg.DumpPath, "err", err)
 		return
 	}
 	telemetry.Error("pipeline stalled — flight recorder dumped",
 		"reason", reason, "path", w.cfg.DumpPath)
+}
+
+// writeFileAtomic writes data to a temporary file beside path and renames
+// it into place, so a reader sees either no dump or a whole one.
+func writeFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Chmod(tmp.Name(), 0o644)
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
